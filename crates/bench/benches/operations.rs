@@ -1,6 +1,11 @@
 //! Benchmarks of the management operations themselves: anycast walks by
 //! policy/scope and multicast dissemination by strategy — plus the
 //! receiver-side admission check in the attack path.
+//!
+//! `multicast/flood-1442` floods over a converged overlay of 1 442
+//! Overnet hosts, the population of the `ops-burst` benchmark workload.
+//! Set `AVMEM_BENCH_QUICK=1` (the CI bench-smoke setting) to run it at
+//! 300 hosts (`multicast/flood-300`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -12,6 +17,10 @@ use avmem::ops::{
 use avmem::SliverScope;
 use avmem_sim::SimDuration;
 use avmem_trace::OvernetModel;
+
+fn quick() -> bool {
+    std::env::var_os("AVMEM_BENCH_QUICK").is_some()
+}
 
 fn warmed_sim() -> AvmemSim {
     let trace = OvernetModel::default().hosts(300).days(1).generate(1);
@@ -80,6 +89,33 @@ fn bench_multicast(c: &mut Criterion) {
             })
         });
     }
+
+    // The ops-burst population and target mix, flooded from any online
+    // node: most initiators must first anycast into the range.
+    let hosts = if quick() { 300 } else { 1442 };
+    let trace = OvernetModel::default().hosts(hosts).days(1).generate(7);
+    let mut sim = AvmemSim::new(trace, SimConfig::paper_default(7));
+    sim.warm_up(SimDuration::from_hours(6));
+    let targets = [
+        AvailabilityTarget::range(0.85, 0.95),
+        AvailabilityTarget::range(0.15, 0.25),
+        AvailabilityTarget::threshold(0.7),
+    ];
+    let bands = [InitiatorBand::Low, InitiatorBand::Mid, InitiatorBand::High];
+    let mut op = 0usize;
+    group.bench_function(BenchmarkId::from_parameter(format!("flood-{hosts}")), |b| {
+        b.iter(|| {
+            op += 1;
+            let initiator = sim
+                .random_online_initiator(bands[op / targets.len() % bands.len()])
+                .expect("online initiator");
+            black_box(sim.multicast(
+                initiator,
+                targets[op % targets.len()],
+                MulticastConfig::paper_default(),
+            ))
+        })
+    });
     group.finish();
 }
 

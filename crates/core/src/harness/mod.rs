@@ -2229,8 +2229,8 @@ struct WorldView<'a> {
 }
 
 impl OverlayWorld for WorldView<'_> {
-    fn node_ids(&self) -> Vec<NodeId> {
-        self.trace.node_ids().collect()
+    fn id_bound(&self) -> usize {
+        self.trace.num_nodes()
     }
 
     fn is_online(&self, id: NodeId) -> bool {
@@ -2247,8 +2247,9 @@ impl OverlayWorld for WorldView<'_> {
         self.trace.long_term_availability(id.raw() as usize)
     }
 
-    fn neighbors(&self, id: NodeId, scope: SliverScope) -> Vec<Neighbor> {
-        self.memberships[id.raw() as usize].neighbors(scope).collect()
+    fn neighbors(&self, id: NodeId, scope: SliverScope, out: &mut Vec<Neighbor>) {
+        out.clear();
+        out.extend(self.memberships[id.raw() as usize].neighbors(scope));
     }
 }
 

@@ -19,8 +19,6 @@
 //! Each policy runs in HS-only / VS-only / HS+VS flavors — nine
 //! algorithms total, exactly the §3.2 matrix.
 
-use std::collections::HashSet;
-
 use avmem_sim::{Network, SimDuration};
 use avmem_util::{NodeId, Rng};
 use serde::{Deserialize, Serialize};
@@ -129,8 +127,6 @@ where
         ForwardPolicy::RetriedGreedy { retries } => retries,
         _ => 0,
     };
-    let mut visited: HashSet<NodeId> = HashSet::new();
-    visited.insert(initiator);
     let mut outcome = AnycastOutcome {
         delivered_to: None,
         delivered_in_range_truth: false,
@@ -140,6 +136,7 @@ where
         messages: 0,
         path: vec![initiator],
     };
+    let mut candidates: Vec<Neighbor> = Vec::new();
 
     loop {
         // Delivery check: the holder consults its own believed availability.
@@ -153,14 +150,12 @@ where
             return outcome;
         }
 
-        // Candidates: untried neighbors, ranked by the greedy metric over
-        // *cached* availabilities. Annealing traverses this same sorted
-        // order (see `anneal_choice`).
-        let mut candidates: Vec<Neighbor> = world
-            .neighbors(current, config.scope)
-            .into_iter()
-            .filter(|n| !visited.contains(&n.id))
-            .collect();
+        // Candidates: neighbors not yet on the path (the initiator plus
+        // every forwarded hop, at most `ttl + 1` ids), ranked by the
+        // greedy metric over *cached* availabilities. Annealing traverses
+        // this same sorted order (see `anneal_choice`).
+        world.neighbors(current, config.scope, &mut candidates);
+        candidates.retain(|n| !outcome.path.contains(&n.id));
         if candidates.is_empty() {
             outcome.drop_reason = Some(AnycastDrop::NoCandidates);
             return outcome;
@@ -182,7 +177,6 @@ where
             outcome.messages += 1;
             outcome.latency = outcome.latency + net.hop_latency();
             if world.is_online(candidate.id) {
-                visited.insert(candidate.id);
                 outcome.path.push(candidate.id);
                 outcome.hops += 1;
                 current = candidate.id;
@@ -228,7 +222,7 @@ where
 /// ("forwards … to an AVMEM neighbor that lies inside R"); preferring
 /// the most-available candidate minimizes the chance of forwarding to an
 /// offline node, which matters because plain greedy has no retry.
-fn sort_by_distance(candidates: &mut [Neighbor], target: AvailabilityTarget) {
+pub(super) fn sort_by_distance(candidates: &mut [Neighbor], target: AvailabilityTarget) {
     candidates.sort_by(|a, b| {
         target
             .distance(a.cached_availability)
@@ -270,7 +264,7 @@ pub const ANNEALING_DELTA_SCALE: f64 = 100.0;
 /// in-range candidate (Δ = 0, p = 1) exists. The randomness then
 /// manifests as probabilistic *skipping* past the nearest candidates —
 /// strongest early (large ttl), vanishing as the TTL drains.
-fn anneal_choice<R: Rng>(
+pub(super) fn anneal_choice<R: Rng>(
     candidates: &[Neighbor],
     target: AvailabilityTarget,
     ttl: u32,
@@ -520,7 +514,7 @@ mod tests {
 
     #[test]
     fn walk_never_revisits_nodes() {
-        // 0 ↔ 1 edges both ways; without the visited set greedy would
+        // 0 ↔ 1 edges both ways; without the path check greedy would
         // bounce between them until TTL expiry. With it, the walk stops.
         let mut w = MockWorld::default();
         w.add(0, 0.5);

@@ -12,6 +12,8 @@
 
 pub mod anycast;
 pub mod multicast;
+#[cfg(test)]
+mod reference;
 pub mod target;
 pub mod world;
 

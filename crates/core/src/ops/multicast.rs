@@ -14,8 +14,23 @@
 //!
 //! Both strategies run over the discrete-event engine so the latency CDFs
 //! of Figs. 11–13 fall out of message timing directly.
+//!
+//! # Cost per first receipt
+//!
+//! A flood sends far more copies than there are receivers, and every
+//! copy after a node's first is ignored on receipt. Dissemination keeps
+//! the earliest scheduled arrival time per node and schedules a send only
+//! if it lands *strictly earlier*. That pruning is exact: a copy arriving
+//! later pops after the scheduled one, and a copy arriving at the same
+//! instant pops after it too, because the engine breaks time ties by
+//! insertion sequence and the scheduled copy was inserted first. Either
+//! way it would have been a duplicate. Every send still counts in
+//! `messages`, and every send to an online node still draws its hop
+//! latency, so the latency stream after the op and the message counts
+//! are those of the unpruned run. Per-op state lives in dense arrays
+//! indexed by node id up to [`OverlayWorld::id_bound`].
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use avmem_sim::{Engine, Network, SimDuration, SimTime};
 use avmem_util::{NodeId, Rng};
@@ -168,8 +183,39 @@ struct GossipState {
     cursor: usize,
     /// Gossip rounds already executed.
     rounds_done: u32,
-    /// Nodes already sent to (includes flood forwarding).
-    sent_to: HashSet<NodeId>,
+    /// Nodes already gossiped to: at most `fanout × rounds` entries.
+    sent_to: Vec<NodeId>,
+}
+
+/// Per-op dissemination state, dense over the world's id bound.
+struct Dissemination<'n> {
+    net: &'n mut Network,
+    engine: Engine<McEvent>,
+    /// Earliest scheduled arrival per node ([`SimTime::MAX`] = none). A
+    /// node's first receipt is the `Deliver` popped at exactly this time.
+    arrival: Vec<SimTime>,
+    /// Nodes whose first receipt has popped.
+    received: usize,
+    messages: u32,
+}
+
+impl Dissemination<'_> {
+    /// Sends the payload to `to` at `now`. Every send counts as a message
+    /// and every send to an online node draws a hop latency; the arrival
+    /// is scheduled only if it lands strictly before `to`'s earliest
+    /// scheduled one (see the module docs for why that is exact).
+    fn send<W: OverlayWorld + ?Sized>(&mut self, world: &W, now: SimTime, to: NodeId) {
+        self.messages += 1;
+        if !world.is_online(to) {
+            return;
+        }
+        let at = now + self.net.hop_latency();
+        let earliest = &mut self.arrival[to.raw() as usize];
+        if at < *earliest {
+            *earliest = at;
+            self.engine.schedule(at, McEvent::Deliver { to });
+        }
+    }
 }
 
 /// Runs one multicast: anycast into the range, then flood/gossip within.
@@ -189,9 +235,9 @@ where
     W: OverlayWorld + ?Sized,
     R: Rng,
 {
-    let eligible = world
-        .node_ids()
-        .into_iter()
+    let bound = world.id_bound();
+    let eligible = (0..bound as u64)
+        .map(NodeId::new)
         .filter(|&id| world.is_online(id) && target.contains(world.true_availability(id)))
         .count();
 
@@ -210,51 +256,57 @@ where
     // Stage 2: dissemination, driven by the event engine. Time zero is
     // the multicast start; the entry node receives at the anycast's
     // latency.
-    let mut engine: Engine<McEvent> = Engine::new();
-    let mut states: HashMap<NodeId, GossipState> = HashMap::new();
-    engine.schedule(
-        SimTime::ZERO + outcome.anycast.latency,
-        McEvent::Deliver { to: entry },
-    );
+    let mut d = Dissemination {
+        net,
+        engine: Engine::new(),
+        arrival: vec![SimTime::MAX; bound],
+        received: 0,
+        messages: 0,
+    };
+    let entry_at = SimTime::ZERO + outcome.anycast.latency;
+    d.arrival[entry.raw() as usize] = entry_at;
+    d.engine.schedule(entry_at, McEvent::Deliver { to: entry });
+    let mut neighbors = Vec::new();
+    // Flood forwards once per node, so one mark per op dedupes a
+    // forwarder's list: the pass (1-based) that last sent to each node.
+    let mut flood_mark: Vec<u32> = Vec::new();
+    let mut flood_pass = 0u32;
+    let mut gossip: Vec<GossipState> = Vec::new();
+    match config.strategy {
+        MulticastStrategy::Flood => flood_mark.resize(bound, 0),
+        MulticastStrategy::Gossip { .. } => gossip.resize_with(bound, GossipState::default),
+    }
 
     // Dissemination always terminates: floods forward once per node and
     // gossip runs a bounded number of rounds.
-    while let Some((now, event)) = engine.pop_until(SimTime::MAX) {
+    while let Some((now, event)) = d.engine.pop_until(SimTime::MAX) {
         match event {
             McEvent::Deliver { to } => {
-                if outcome.deliveries.contains_key(&to) {
+                if now != d.arrival[to.raw() as usize] {
                     continue; // duplicate copy, ignored
                 }
-                outcome
-                    .deliveries
-                    .insert(to, now.saturating_since(SimTime::ZERO));
+                d.received += 1;
                 // Only nodes that believe themselves in range forward.
                 if !target.contains(world.believed_availability(to)) {
                     continue;
                 }
                 match config.strategy {
                     MulticastStrategy::Flood => {
-                        let state = states.entry(to).or_default();
-                        for neighbor in world.neighbors(to, config.scope) {
-                            if !target.contains(neighbor.cached_availability)
-                                || state.sent_to.contains(&neighbor.id)
+                        flood_pass += 1;
+                        world.neighbors(to, config.scope, &mut neighbors);
+                        for neighbor in &neighbors {
+                            let mark = &mut flood_mark[neighbor.id.raw() as usize];
+                            if !target.contains(neighbor.cached_availability) || *mark == flood_pass
                             {
                                 continue;
                             }
-                            state.sent_to.insert(neighbor.id);
-                            outcome.messages += 1;
-                            if world.is_online(neighbor.id) {
-                                engine.schedule(
-                                    now + net.hop_latency(),
-                                    McEvent::Deliver { to: neighbor.id },
-                                );
-                            }
+                            *mark = flood_pass;
+                            d.send(world, now, neighbor.id);
                         }
                     }
                     MulticastStrategy::Gossip { .. } => {
-                        states.entry(to).or_default();
                         // First gossip round fires immediately on receipt.
-                        engine.schedule(now, McEvent::GossipTick { at: to });
+                        d.engine.schedule(now, McEvent::GossipTick { at: to });
                     }
                 }
             }
@@ -267,8 +319,8 @@ where
                 else {
                     continue;
                 };
-                let neighbors = world.neighbors(at, config.scope);
-                let state = states.entry(at).or_default();
+                world.neighbors(at, config.scope, &mut neighbors);
+                let state = &mut gossip[at.raw() as usize];
                 if state.rounds_done >= rounds {
                     continue;
                 }
@@ -286,22 +338,26 @@ where
                     {
                         continue;
                     }
-                    state.sent_to.insert(neighbor.id);
-                    outcome.messages += 1;
+                    state.sent_to.push(neighbor.id);
                     sent += 1;
-                    if world.is_online(neighbor.id) {
-                        engine.schedule(
-                            now + net.hop_latency(),
-                            McEvent::Deliver { to: neighbor.id },
-                        );
-                    }
+                    d.send(world, now, neighbor.id);
                 }
                 if state.rounds_done < rounds {
-                    engine.schedule(now + period, McEvent::GossipTick { at });
+                    d.engine.schedule(now + period, McEvent::GossipTick { at });
                 }
             }
         }
     }
+    // Every scheduled earliest arrival has popped as a first receipt.
+    outcome.messages = d.messages;
+    outcome.deliveries.reserve(d.received);
+    outcome.deliveries.extend(
+        d.arrival
+            .iter()
+            .enumerate()
+            .filter(|&(_, &at)| at != SimTime::MAX)
+            .map(|(i, &at)| (NodeId::new(i as u64), at.saturating_since(SimTime::ZERO))),
+    );
     outcome
 }
 

@@ -21,8 +21,11 @@ use crate::membership::{Neighbor, SliverScope};
 /// happens on a minutes scale, so the world is treated as static for the
 /// duration of a single operation — matching the paper's methodology.
 pub trait OverlayWorld {
-    /// The whole (fixed) population.
-    fn node_ids(&self) -> Vec<NodeId>;
+    /// Exclusive upper bound on node ids: every id the world knows or
+    /// hands out as a neighbor has `raw() < id_bound()`, so operations
+    /// can keep per-op state in dense arrays indexed by id. Ids below the
+    /// bound that name no node must read as offline.
+    fn id_bound(&self) -> usize;
 
     /// Whether `id` is online right now (ground truth).
     fn is_online(&self, id: NodeId) -> bool;
@@ -36,10 +39,14 @@ pub trait OverlayWorld {
     /// protocol decision may depend on it).
     fn true_availability(&self, id: NodeId) -> Availability;
 
-    /// `id`'s current neighbors in `scope`, with *cached* availabilities
-    /// (the paper's forwarding uses values cached at the last refresh,
-    /// §3.2).
-    fn neighbors(&self, id: NodeId, scope: SliverScope) -> Vec<Neighbor>;
+    /// Fills `out` with `id`'s current neighbors in `scope`, with
+    /// *cached* availabilities (the paper's forwarding uses values cached
+    /// at the last refresh, §3.2).
+    ///
+    /// `out` is a caller-owned buffer: it is cleared first, then holds
+    /// exactly the neighbors, HS before VS, each in list order. Reusing
+    /// one buffer across calls keeps per-hop lookups allocation-free.
+    fn neighbors(&self, id: NodeId, scope: SliverScope, out: &mut Vec<Neighbor>);
 }
 
 #[cfg(test)]
@@ -82,26 +89,27 @@ pub(crate) mod mock {
             self.online.insert(NodeId::new(id), false);
         }
 
-        fn to_neighbors(&self, ids: Option<&Vec<NodeId>>) -> Vec<Neighbor> {
-            ids.map(|v| {
-                v.iter()
-                    .map(|&id| Neighbor {
-                        id,
-                        cached_availability: Availability::saturating(
-                            self.availability.get(&id).copied().unwrap_or(0.0),
-                        ),
-                        added_at: SimTime::ZERO,
-                        refreshed_at: SimTime::ZERO,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
+        fn to_neighbors(&self, ids: Option<&Vec<NodeId>>, out: &mut Vec<Neighbor>) {
+            out.extend(ids.into_iter().flatten().map(|&id| Neighbor {
+                id,
+                cached_availability: Availability::saturating(
+                    self.availability.get(&id).copied().unwrap_or(0.0),
+                ),
+                added_at: SimTime::ZERO,
+                refreshed_at: SimTime::ZERO,
+            }));
         }
     }
 
     impl OverlayWorld for MockWorld {
-        fn node_ids(&self) -> Vec<NodeId> {
-            self.nodes.clone()
+        fn id_bound(&self) -> usize {
+            let edges = self.hs.values().chain(self.vs.values()).flatten();
+            self.nodes
+                .iter()
+                .chain(edges)
+                .map(|id| id.raw() as usize + 1)
+                .max()
+                .unwrap_or(0)
         }
 
         fn is_online(&self, id: NodeId) -> bool {
@@ -116,15 +124,14 @@ pub(crate) mod mock {
             self.believed_availability(id)
         }
 
-        fn neighbors(&self, id: NodeId, scope: SliverScope) -> Vec<Neighbor> {
-            let mut out = Vec::new();
+        fn neighbors(&self, id: NodeId, scope: SliverScope, out: &mut Vec<Neighbor>) {
+            out.clear();
             if matches!(scope, SliverScope::HsOnly | SliverScope::Both) {
-                out.extend(self.to_neighbors(self.hs.get(&id)));
+                self.to_neighbors(self.hs.get(&id), out);
             }
             if matches!(scope, SliverScope::VsOnly | SliverScope::Both) {
-                out.extend(self.to_neighbors(self.vs.get(&id)));
+                self.to_neighbors(self.vs.get(&id), out);
             }
-            out
         }
     }
 }

@@ -392,6 +392,12 @@ impl Default for ReportSpec {
 }
 
 impl ScenarioSpec {
+    /// Longest run, warm-up included, the engine can represent: membership
+    /// stamps store instants as u32 milliseconds
+    /// ([`avmem_sim::SimTime::as_compact_ms`]), which saturate after
+    /// 71 582 minutes (≈ 49.7 days).
+    pub const MAX_HORIZON_MINS: u64 = u32::MAX as u64 / 60_000;
+
     /// Checks every cross-field invariant the parser cannot see, returning
     /// the first violation.
     ///
@@ -415,6 +421,16 @@ impl ScenarioSpec {
         }
         if self.health_every_mins == 0 {
             return fail("health_every_mins must be positive".into());
+        }
+        let cap = Self::MAX_HORIZON_MINS;
+        match self.warmup_mins.checked_add(self.duration_mins) {
+            Some(horizon) if horizon <= cap => {}
+            _ => {
+                return fail(format!(
+                    "warmup_mins + duration_mins must be at most {cap} (membership stamps \
+                     hold instants as u32 milliseconds)"
+                ))
+            }
         }
         match &self.churn {
             ChurnSpec::Overnet { hosts, days } | ChurnSpec::FlashCrowd { hosts, days, .. }
@@ -778,6 +794,24 @@ mod tests {
             cushion: 0.1,
             probes: 10,
         });
+        assert!(spec.validate().is_err());
+    }
+
+    #[test]
+    fn horizon_is_capped_at_the_compact_stamp_range() {
+        assert_eq!(ScenarioSpec::MAX_HORIZON_MINS, 71_582);
+        let mut spec = valid();
+        spec.warmup_mins = 60;
+        spec.duration_mins = 71_582 - 60;
+        spec.validate().expect("the cap itself is representable");
+        spec.duration_mins += 1;
+        let err = spec.validate().expect_err("one minute past the cap");
+        assert!(err.to_string().contains("71582"), "{err}");
+        // Overflowing sums are rejected, not wrapped.
+        spec.warmup_mins = u64::MAX;
+        assert!(spec.validate().is_err());
+        spec.warmup_mins = 0;
+        spec.duration_mins = 400_000_000_000_000;
         assert!(spec.validate().is_err());
     }
 

@@ -39,6 +39,10 @@ pub struct ChurnTrace {
     slots: usize,
     /// Row-major online matrix: `online[node * slots + slot]`.
     online: Vec<bool>,
+    /// Online slots per node, counted once from `online` at construction
+    /// so [`ChurnTrace::long_term_availability`] is O(1). A function of
+    /// the rows, so the derived equality still means "same rows".
+    up_slots: Vec<u32>,
 }
 
 impl ChurnTrace {
@@ -47,12 +51,14 @@ impl ChurnTrace {
     /// # Panics
     ///
     /// Panics if rows have inconsistent lengths, if there are no rows, if
-    /// rows are empty, or if the slot duration is zero.
+    /// rows are empty or longer than `u32::MAX` slots, or if the slot
+    /// duration is zero.
     pub fn from_rows(slot: SimDuration, rows: Vec<Vec<bool>>) -> Self {
         assert!(slot > SimDuration::ZERO, "slot duration must be positive");
         assert!(!rows.is_empty(), "trace needs at least one node");
         let slots = rows[0].len();
         assert!(slots > 0, "trace needs at least one slot");
+        assert!(u32::try_from(slots).is_ok(), "trace has too many slots");
         assert!(
             rows.iter().all(|r| r.len() == slots),
             "all rows must have the same number of slots"
@@ -61,10 +67,15 @@ impl ChurnTrace {
         for row in &rows {
             online.extend_from_slice(row);
         }
+        let up_slots = rows
+            .iter()
+            .map(|row| row.iter().filter(|&&b| b).count() as u32)
+            .collect();
         ChurnTrace {
             slot,
             slots,
             online,
+            up_slots,
         }
     }
 
@@ -163,9 +174,7 @@ impl ChurnTrace {
     /// Panics if `i` is out of range.
     pub fn long_term_availability(&self, i: usize) -> Availability {
         assert!(i < self.num_nodes(), "node index {i} out of range");
-        let row = &self.online[i * self.slots..(i + 1) * self.slots];
-        let up = row.iter().filter(|&&b| b).count();
-        Availability::saturating(up as f64 / self.slots as f64)
+        Availability::saturating(f64::from(self.up_slots[i]) / self.slots as f64)
     }
 
     /// Node `i`'s availability measured over slots `[0, slot_at(time)]`

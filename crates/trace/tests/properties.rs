@@ -33,6 +33,41 @@ proptest! {
     }
 
     #[test]
+    fn cached_up_count_matches_row_scan_bits(
+        rows in arbitrary_rows(),
+        long in proptest::collection::vec(proptest::collection::vec(any::<bool>(), 504..=504), 1..4),
+    ) {
+        for rows in [rows, long] {
+            let trace = ChurnTrace::from_rows(SimDuration::from_mins(20), rows.clone());
+            let mut buf = Vec::new();
+            trace.write_to(&mut buf).unwrap();
+            let read = ChurnTrace::read_from(buf.as_slice()).unwrap();
+            for (i, row) in rows.iter().enumerate() {
+                let up = row.iter().filter(|&&b| b).count();
+                let scanned = Availability::saturating(up as f64 / row.len() as f64);
+                prop_assert_eq!(trace.long_term_availability(i).value().to_bits(), scanned.value().to_bits());
+                prop_assert_eq!(read.long_term_availability(i).value().to_bits(), scanned.value().to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn trace_equality_means_same_rows(rows in arbitrary_rows(), pick_row in any::<usize>(), pick_slot in any::<usize>()) {
+        let trace = ChurnTrace::from_rows(SimDuration::from_mins(20), rows.clone());
+        prop_assert_eq!(&trace, &ChurnTrace::from_rows(SimDuration::from_mins(20), rows.clone()));
+        let i = pick_row % rows.len();
+        let mut flipped = rows.clone();
+        let s = pick_slot % flipped[i].len();
+        flipped[i][s] = !flipped[i][s];
+        prop_assert_ne!(&trace, &ChurnTrace::from_rows(SimDuration::from_mins(20), flipped));
+        // Rotating a row keeps every per-node up count but not the rows.
+        let mut rotated = rows.clone();
+        rotated[i].rotate_left(1);
+        let same_rows = rotated == rows;
+        prop_assert_eq!(same_rows, trace == ChurnTrace::from_rows(SimDuration::from_mins(20), rotated));
+    }
+
+    #[test]
     fn availability_prefix_converges_to_long_term(rows in arbitrary_rows()) {
         let trace = ChurnTrace::from_rows(SimDuration::from_mins(20), rows);
         let end = SimTime::from_millis(trace.duration().as_millis().saturating_sub(1));
