@@ -16,13 +16,20 @@
 //!   points) vs one long-lived pool, isolating the per-exchange
 //!   alloc/free traffic the shard-owned pools remove.
 //!
+//! * `merge/{v}` — one CYCLON `View::merge` into a full view of capacity
+//!   v = √N (the per-v scaling probe of the commit phase): ℓ = max(v/2, 4)
+//!   received entries, half already in the view and half fresh, against ℓ
+//!   sent entries drawn from the view. Each iteration first restores the
+//!   view from a template (a v-slot copy, no allocation).
+//!
 //! Set `AVMEM_BENCH_QUICK=1` (the CI bench-smoke setting) to shrink the
-//! sweeps so the bodies still execute cheaply.
+//! sweeps so the bodies still execute cheaply (`merge` runs v ∈ {38, 100}
+//! only).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use avmem_shuffle::{EntryPool, ShuffleConfig, ShuffleNode};
+use avmem_shuffle::{EntryPool, ShuffleConfig, ShuffleNode, View, ViewEntry};
 use avmem_util::{NodeId, Rng, SplitMix64};
 
 fn quick() -> bool {
@@ -155,5 +162,38 @@ fn bench_exchange_buffers(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_placement, bench_exchange_buffers);
+fn bench_merge(c: &mut Criterion) {
+    let mut group = c.benchmark_group("commit_breakdown");
+    let sizes: &[u64] = if quick() { &[38, 100] } else { &[38, 100, 316, 1000] };
+    for &v in sizes {
+        let n = v * v;
+        let exchange = (v / 2).max(4) as usize;
+        let mut rng = SplitMix64::keyed(&[0x3E59E, v]);
+        let mut template = View::new(v as usize);
+        while template.len() < v as usize {
+            let id = NodeId::new(rng.next_u64() % n);
+            template.insert(ViewEntry { id, age: (rng.next_u64() % 20) as u32 });
+        }
+        let sent = template.random_subset(&mut rng, exchange, None);
+        let mut received = template.random_subset(&mut rng, exchange / 2, None);
+        while received.len() < exchange {
+            let id = NodeId::new(rng.next_u64() % n);
+            if !template.contains(id) && received.iter().all(|e| e.id != id) {
+                received.push(ViewEntry { id, age: (rng.next_u64() % 20) as u32 });
+            }
+        }
+        let self_id = NodeId::new(n);
+        group.bench_function(BenchmarkId::new("merge", v), |b| {
+            let mut view = template.clone();
+            b.iter(|| {
+                view.clone_from(&template);
+                view.merge(self_id, black_box(&received), black_box(&sent));
+                black_box(view.len())
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_placement, bench_exchange_buffers, bench_merge);
 criterion_main!(benches);

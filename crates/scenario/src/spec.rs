@@ -432,16 +432,23 @@ impl ScenarioSpec {
                 ))
             }
         }
+        let max_nodes = ChurnTrace::MAX_NODES;
         match &self.churn {
             ChurnSpec::Overnet { hosts, days } | ChurnSpec::FlashCrowd { hosts, days, .. }
             | ChurnSpec::MassDeparture { hosts, days, .. } => {
                 if *hosts == 0 || *days == 0 {
                     return fail("churn needs hosts > 0 and days > 0".into());
                 }
+                if *hosts > max_nodes {
+                    return fail(format!("hosts must be at most {max_nodes} (node ids are u32)"));
+                }
             }
             ChurnSpec::Grid { machines, days } => {
                 if *machines == 0 || *days == 0 {
                     return fail("churn needs machines > 0 and days > 0".into());
+                }
+                if *machines > max_nodes {
+                    return fail(format!("machines must be at most {max_nodes} (node ids are u32)"));
                 }
             }
             ChurnSpec::TraceFile { path } => {
@@ -813,6 +820,30 @@ mod tests {
         spec.warmup_mins = 0;
         spec.duration_mins = 400_000_000_000_000;
         assert!(spec.validate().is_err());
+    }
+
+    #[test]
+    fn population_is_capped_at_the_u32_id_space() {
+        let cap = ChurnTrace::MAX_NODES;
+        assert_eq!(cap, 4_294_967_295);
+        let churns = |n: usize| {
+            [
+                ChurnSpec::Overnet { hosts: n, days: 1 },
+                ChurnSpec::Grid { machines: n, days: 1 },
+                ChurnSpec::FlashCrowd { hosts: n, days: 1, fraction: 0.5, switch_at: 0.5 },
+                ChurnSpec::MassDeparture { hosts: n, days: 1, fraction: 0.5, switch_at: 0.5 },
+            ]
+        };
+        let mut spec = valid();
+        for churn in churns(cap) {
+            spec.churn = churn;
+            spec.validate().expect("the cap itself is representable");
+        }
+        for churn in churns(cap + 1) {
+            spec.churn = churn;
+            let err = spec.validate().expect_err("one node past the cap");
+            assert!(err.to_string().contains("4294967295"), "{err}");
+        }
     }
 
     #[test]

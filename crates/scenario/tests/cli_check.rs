@@ -1,5 +1,5 @@
-//! `scenario check` over spec files: the horizon cap is enforced at
-//! validation and reported through the exit code.
+//! `scenario check` over spec files: the horizon and population caps are
+//! enforced at validation and reported through the exit code.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -7,22 +7,10 @@ use std::process::Command;
 use avmem_scenario::builtin::builtin_source;
 use avmem_scenario::ScenarioSpec;
 
-/// Writes the `smoke` built-in with the given warm-up and duration to a
-/// spec file and runs `scenario check` on it.
-fn check_with(warmup_mins: u64, duration_mins: u64) -> (bool, String) {
-    let source = builtin_source("smoke")
-        .expect("smoke built-in exists")
-        .replace("warmup_mins = 720", &format!("warmup_mins = {warmup_mins}"))
-        .replace(
-            "duration_mins = 60",
-            &format!("duration_mins = {duration_mins}"),
-        );
-    let path: PathBuf = [
-        env!("CARGO_TARGET_TMPDIR"),
-        &format!("check-{warmup_mins}-{duration_mins}.toml"),
-    ]
-    .iter()
-    .collect();
+/// Writes `source` to a spec file named `name` and runs `scenario check`
+/// on it, returning whether it passed and its stderr.
+fn check_source(name: &str, source: &str) -> (bool, String) {
+    let path: PathBuf = [env!("CARGO_TARGET_TMPDIR"), name].iter().collect();
     std::fs::write(&path, source).expect("write spec");
     let out = Command::new(env!("CARGO_BIN_EXE_scenario"))
         .arg("check")
@@ -33,6 +21,29 @@ fn check_with(warmup_mins: u64, duration_mins: u64) -> (bool, String) {
         out.status.success(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
+}
+
+fn smoke_source() -> String {
+    builtin_source("smoke").expect("smoke built-in exists").to_string()
+}
+
+/// Runs `scenario check` on the `smoke` built-in with the given warm-up
+/// and duration.
+fn check_with(warmup_mins: u64, duration_mins: u64) -> (bool, String) {
+    let source = smoke_source()
+        .replace("warmup_mins = 720", &format!("warmup_mins = {warmup_mins}"))
+        .replace(
+            "duration_mins = 60",
+            &format!("duration_mins = {duration_mins}"),
+        );
+    check_source(&format!("check-{warmup_mins}-{duration_mins}.toml"), &source)
+}
+
+/// Runs `scenario check` on the `smoke` built-in with `hosts` hosts.
+fn check_hosts(hosts: u64) -> (bool, String) {
+    let source = smoke_source().replace("hosts = 120", &format!("hosts = {hosts}"));
+    assert!(source.contains(&format!("hosts = {hosts}")));
+    check_source(&format!("check-hosts-{hosts}.toml"), &source)
 }
 
 #[test]
@@ -53,4 +64,13 @@ fn check_rejects_a_duration_whose_milliseconds_overflow() {
     let (ok, stderr) = check_with(720, 400_000_000_000_000);
     assert!(!ok, "an overflowing duration must fail");
     assert!(stderr.contains("71582"), "{stderr}");
+}
+
+#[test]
+fn check_rejects_more_hosts_than_u32_ids() {
+    let (ok, stderr) = check_hosts(u64::from(u32::MAX));
+    assert!(ok, "the cap itself must pass: {stderr}");
+    let (ok, stderr) = check_hosts(u64::from(u32::MAX) + 1);
+    assert!(!ok, "one host past the cap must fail");
+    assert!(stderr.contains("4294967295"), "error names the cap: {stderr}");
 }

@@ -14,6 +14,21 @@
 //! resident set. The id arrays hold **index-space ids** — views are the
 //! harness's per-node neighbor slots, where ids are dense indexes `< N`;
 //! inserting an id above `u32::MAX` panics.
+//!
+//! # Merge index
+//!
+//! [`View::merge`] runs in O(ℓ + v) for ℓ received and sent entries and
+//! view size v, not the O(ℓ·v) of a slot scan per entry. It answers "is
+//! this id in the view, and where" from a dense `slot_of[id] → position`
+//! `u32` index held in one `thread_local!` vector: each call fills the
+//! view's ids in, updates them on every push and replacement, and clears
+//! the ids left in the view on exit, so the index is all-empty between
+//! calls. It grows geometrically to the largest id seen and never shrinks:
+//! 4 bytes per index-space id, ≈ 4 B × N per thread (40 KB at 10⁴ hosts,
+//! 4 MB at 10⁶; the vector's amortized growth may reserve up to twice
+//! that), paid once per worker of the persistent pool.
+
+use std::cell::RefCell;
 
 use avmem_util::{NodeId, Rng};
 use serde::{Deserialize, Serialize};
@@ -33,6 +48,15 @@ impl ViewEntry {
     pub fn fresh(id: NodeId) -> Self {
         ViewEntry { id, age: 0 }
     }
+}
+
+/// Marks an id with no slot in the view being merged.
+const NO_SLOT: u32 = u32::MAX;
+
+thread_local! {
+    /// [`View::merge`]'s id→slot index: `SLOT_OF[id]` is `id`'s position
+    /// in the view being merged, or [`NO_SLOT`]. All-empty between calls.
+    static SLOT_OF: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 }
 
 #[inline]
@@ -200,52 +224,117 @@ impl View {
     /// full — replacing the oldest entries.
     ///
     /// Entries for `self_id` and duplicates are skipped (younger age
-    /// wins on duplicates). Allocation-free: sent-entry victims are
-    /// consumed back-to-front straight from `sent`.
+    /// wins on duplicates). Sent-entry victims are consumed back-to-front
+    /// straight from `sent` by a cursor that never rewinds; a victim no
+    /// longer in the view is skipped. The oldest-entry fallback runs only
+    /// once the victims are exhausted and keeps a younger resident over
+    /// an older incoming entry.
+    ///
+    /// Runs in O(ℓ + v) for ℓ = `received.len() + sent.len()` and view
+    /// size v: membership lookups go through the thread-local id→slot
+    /// index (see the module docs) instead of scanning the view, except
+    /// for the oldest-entry fallback, which stays an O(v) scan.
+    /// Allocation-free once the index has grown to the largest id seen.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a received id other than `self_id` does not fit `u32`,
+    /// before the view is touched.
     pub fn merge(&mut self, self_id: NodeId, received: &[ViewEntry], sent: &[ViewEntry]) {
-        // Cursor over `sent`, consumed from the end — same victim order
-        // as the old `replaceable: Vec<NodeId>` + `pop()` scheme.
+        // Size the index for (and validate) every id to insert up front,
+        // so a panic cannot leave stale slots behind.
+        let mut index_len = 0;
+        for entry in received {
+            if entry.id != self_id {
+                index_len = index_len.max(packed(entry.id) as usize + 1);
+            }
+        }
+        if index_len == 0 {
+            return; // nothing but `self_id`: no change
+        }
+        SLOT_OF.with(|cell| {
+            let mut slot_of = cell.borrow_mut();
+            if slot_of.len() < index_len {
+                slot_of.resize(index_len, NO_SLOT);
+            }
+            for (pos, &id) in self.ids.iter().enumerate() {
+                let id = id as usize;
+                if id >= slot_of.len() {
+                    slot_of.resize(id + 1, NO_SLOT);
+                }
+                slot_of[id] = pos as u32;
+            }
+            self.merge_indexed(&mut slot_of, self_id, received, sent);
+            // Every slot set above or during the merge belongs to an id
+            // still in the view (replacements clear the evicted id).
+            for &id in &self.ids {
+                slot_of[id as usize] = NO_SLOT;
+            }
+        });
+    }
+
+    /// The body of [`View::merge`] over a `slot_of` index that maps every
+    /// id in the view to its slot (and every other id to [`NO_SLOT`]),
+    /// kept in step with each push and replacement.
+    fn merge_indexed(
+        &mut self,
+        slot_of: &mut [u32],
+        self_id: NodeId,
+        received: &[ViewEntry],
+        sent: &[ViewEntry],
+    ) {
+        // Victims come from the caller; one outside the index is not in
+        // the view.
+        let victim_slot = |slot_of: &[u32], id: NodeId| {
+            let raw = u32::try_from(id.raw()).ok()?;
+            slot_of
+                .get(raw as usize)
+                .filter(|&&pos| pos != NO_SLOT)
+                .map(|&pos| pos as usize)
+        };
         let mut next_victim = sent.len();
         for &entry in received {
             if entry.id == self_id {
                 continue;
             }
             let raw = packed(entry.id);
-            if let Some(pos) = self.ids.iter().position(|&e| e == raw) {
+            let pos = slot_of[raw as usize];
+            if pos != NO_SLOT {
+                let pos = pos as usize;
                 self.ages[pos] = self.ages[pos].min(entry.age);
                 continue;
             }
             if self.ids.len() < self.capacity as usize {
+                slot_of[raw as usize] = self.ids.len() as u32;
                 self.ids.push(raw);
                 self.ages.push(entry.age);
                 continue;
             }
             // Replace one of the entries we sent away, if still present.
-            let mut replaced = false;
+            let mut target = None;
             while next_victim > 0 {
                 next_victim -= 1;
-                let victim = packed(sent[next_victim].id);
-                if let Some(pos) = self.ids.iter().position(|&e| e == victim) {
-                    self.ids[pos] = raw;
-                    self.ages[pos] = entry.age;
-                    replaced = true;
+                target = victim_slot(slot_of, sent[next_victim].id);
+                if target.is_some() {
                     break;
                 }
             }
-            if !replaced {
-                // Last resort: replace the oldest entry.
-                if let Some(pos) = self
+            if target.is_none() {
+                // Last resort: replace the oldest entry (the last of
+                // equally old ones), unless it is younger than `entry`.
+                target = self
                     .ages
                     .iter()
                     .enumerate()
                     .max_by_key(|&(_, &age)| age)
                     .map(|(pos, _)| pos)
-                {
-                    if self.ages[pos] >= entry.age {
-                        self.ids[pos] = raw;
-                        self.ages[pos] = entry.age;
-                    }
-                }
+                    .filter(|&pos| self.ages[pos] >= entry.age);
+            }
+            if let Some(pos) = target {
+                slot_of[self.ids[pos] as usize] = NO_SLOT;
+                slot_of[raw as usize] = pos as u32;
+                self.ids[pos] = raw;
+                self.ages[pos] = entry.age;
             }
         }
     }
@@ -254,10 +343,190 @@ impl View {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use avmem_util::Xoshiro256;
+    use avmem_util::{SplitMix64, Xoshiro256};
 
     fn id(n: u64) -> NodeId {
         NodeId::new(n)
+    }
+
+    /// The O(ℓ·v) merge [`View::merge`] replaced, kept verbatim as its
+    /// reference: one `position()` scan per received entry and per
+    /// sent-entry victim.
+    fn reference_merge(
+        view: &mut View,
+        self_id: NodeId,
+        received: &[ViewEntry],
+        sent: &[ViewEntry],
+    ) {
+        // Cursor over `sent`, consumed from the end — same victim order
+        // as the old `replaceable: Vec<NodeId>` + `pop()` scheme.
+        let mut next_victim = sent.len();
+        for &entry in received {
+            if entry.id == self_id {
+                continue;
+            }
+            let raw = packed(entry.id);
+            if let Some(pos) = view.ids.iter().position(|&e| e == raw) {
+                view.ages[pos] = view.ages[pos].min(entry.age);
+                continue;
+            }
+            if view.ids.len() < view.capacity as usize {
+                view.ids.push(raw);
+                view.ages.push(entry.age);
+                continue;
+            }
+            // Replace one of the entries we sent away, if still present.
+            let mut replaced = false;
+            while next_victim > 0 {
+                next_victim -= 1;
+                let victim = packed(sent[next_victim].id);
+                if let Some(pos) = view.ids.iter().position(|&e| e == victim) {
+                    view.ids[pos] = raw;
+                    view.ages[pos] = entry.age;
+                    replaced = true;
+                    break;
+                }
+            }
+            if !replaced {
+                // Last resort: replace the oldest entry.
+                if let Some(pos) = view
+                    .ages
+                    .iter()
+                    .enumerate()
+                    .max_by_key(|&(_, &age)| age)
+                    .map(|(pos, _)| pos)
+                {
+                    if view.ages[pos] >= entry.age {
+                        view.ids[pos] = raw;
+                        view.ages[pos] = entry.age;
+                    }
+                }
+            }
+        }
+    }
+
+    fn index_is_empty() -> bool {
+        SLOT_OF.with(|cell| cell.borrow().iter().all(|&pos| pos == NO_SLOT))
+    }
+
+    /// A random entry list over `base + 0..universe`, ages in `0..max_age`.
+    fn random_entries(
+        rng: &mut SplitMix64,
+        base: u64,
+        universe: u64,
+        len: u64,
+        max_age: u64,
+    ) -> Vec<ViewEntry> {
+        (0..len)
+            .map(|_| ViewEntry {
+                id: id(base + rng.next_u64() % universe),
+                age: (rng.next_u64() % max_age) as u32,
+            })
+            .collect()
+    }
+
+    /// Merges random exchanges into several views in turn, checking the
+    /// indexed merge against the reference slot by slot after each call.
+    #[test]
+    fn merge_matches_reference_slot_for_slot() {
+        let mut rng = SplitMix64::new(0x5EED);
+        for case in 0..4_000u64 {
+            let capacity = 1 + rng.next_u64() % 20;
+            // Small universes make collisions frequent; every fourth case
+            // lives above 10⁵ so the index has to grow mid-sequence.
+            let base = if case % 4 == 3 {
+                100_000 + rng.next_u64() % 50_000
+            } else {
+                0
+            };
+            let universe = 1 + capacity / 2 + rng.next_u64() % (2 * capacity);
+            // Several views merged in turn on this thread: a slot left
+            // set by one call would corrupt the next.
+            let mut views: Vec<View> = (0..3)
+                .map(|_| {
+                    let mut v = View::new(capacity as usize);
+                    let fill = if rng.next_u64() % 2 == 0 {
+                        capacity
+                    } else {
+                        rng.next_u64() % (capacity + 1)
+                    };
+                    // Ages in 0..4: oldest-age ties are common.
+                    for e in random_entries(&mut rng, base, universe + capacity, 4 * fill, 4) {
+                        if v.len() as u64 == fill {
+                            break;
+                        }
+                        v.insert(e);
+                    }
+                    v
+                })
+                .collect();
+            for round in 0..6 {
+                let which = (rng.next_u64() % 3) as usize;
+                let view = &mut views[which];
+                let self_id = id(base + rng.next_u64() % universe);
+                // Ages up to 9 > every resident's 0..4 + rounds: incoming
+                // entries are sometimes older than the whole view.
+                let received_len = rng.next_u64() % (capacity + 4);
+                let received = random_entries(&mut rng, base, universe, received_len, 10);
+                // Victims: some from the view (possibly repeated or about
+                // to be replaced), some absent.
+                let (sent_len, absent_len) = (rng.next_u64() % (capacity + 1), rng.next_u64() % 3);
+                let mut sent = view.random_subset(&mut rng, sent_len as usize, None);
+                sent.extend(random_entries(&mut rng, base, universe + 3, absent_len, 4));
+                if sent.len() > 1 {
+                    let (a, b) = (
+                        (rng.next_u64() % sent.len() as u64) as usize,
+                        (rng.next_u64() % sent.len() as u64) as usize,
+                    );
+                    sent.swap(a, b);
+                    sent.push(sent[a]);
+                }
+                let mut expected = view.clone();
+                reference_merge(&mut expected, self_id, &received, &sent);
+                view.merge(self_id, &received, &sent);
+                assert_eq!(
+                    view.iter().collect::<Vec<_>>(),
+                    expected.iter().collect::<Vec<_>>(),
+                    "case {case} round {round}: self {self_id:?}, received {received:?}, sent {sent:?}"
+                );
+                assert!(
+                    index_is_empty(),
+                    "case {case} round {round}: index left dirty"
+                );
+                view.age_all();
+            }
+        }
+        SLOT_OF.with(|cell| assert!(cell.borrow().len() > 100_000, "the index grew past 10⁵"));
+    }
+
+    #[test]
+    fn merge_of_only_self_leaves_view_and_index_untouched() {
+        let mut v = View::new(2);
+        v.insert(ViewEntry { id: id(1), age: 3 });
+        let before = v.clone();
+        v.merge(
+            id(7),
+            &[ViewEntry::fresh(id(7))],
+            &[ViewEntry::fresh(id(1))],
+        );
+        assert_eq!(v, before);
+        assert!(index_is_empty());
+    }
+
+    #[test]
+    fn merge_rejects_non_index_ids_before_touching_the_index() {
+        let huge = NodeId::new(u64::from(u32::MAX) + 1);
+        let result = std::panic::catch_unwind(|| {
+            let mut v = View::new(2);
+            v.insert(ViewEntry::fresh(id(1)));
+            v.merge(
+                id(0),
+                &[ViewEntry::fresh(id(2)), ViewEntry::fresh(huge)],
+                &[],
+            );
+        });
+        assert!(result.is_err(), "a non-index-space id must panic");
+        assert!(index_is_empty());
     }
 
     #[test]

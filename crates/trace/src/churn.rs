@@ -46,6 +46,11 @@ pub struct ChurnTrace {
 }
 
 impl ChurnTrace {
+    /// Largest population the engine can index: node ids are packed as
+    /// `u32` in views and memberships, so ids run up to `u32::MAX - 1`
+    /// and `u32::MAX` stays free as a "no node" sentinel.
+    pub const MAX_NODES: usize = u32::MAX as usize;
+
     /// Builds a trace from per-node slot rows.
     ///
     /// # Panics

@@ -115,8 +115,22 @@ impl ChurnTrace {
                 "nodes and slots must be positive".into(),
             ));
         }
+        let max = ChurnTrace::MAX_NODES;
+        if nodes > max {
+            return Err(ParseTraceError::Format(format!(
+                "nodes {nodes} exceeds the cap of {max} (node ids are u32)"
+            )));
+        }
+        if u32::try_from(slots).is_err() {
+            return Err(ParseTraceError::Format(format!(
+                "slots {slots} exceeds the cap of {} (slot indexes are u32)",
+                u32::MAX
+            )));
+        }
 
-        let mut rows = Vec::with_capacity(nodes);
+        // Grown row by row: the header is untrusted, so it must not size
+        // an allocation.
+        let mut rows = Vec::new();
         for i in 0..nodes {
             let line = next_line(&format!("row {i}"))?;
             let line = line.trim();
@@ -230,6 +244,30 @@ mod tests {
         let text = "AVTRACE v1\nslot_millis 0\nnodes 1\nslots 1\n1\n";
         let err = ChurnTrace::read_from(text.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("slot_millis"));
+    }
+
+    #[test]
+    fn rejects_node_counts_past_the_u32_cap() {
+        for nodes in ["1000000000000", "4294967296"] {
+            let text = format!("AVTRACE v1\nslot_millis 1000\nnodes {nodes}\nslots 1\n1\n");
+            let err = ChurnTrace::read_from(text.as_bytes()).unwrap_err();
+            assert!(matches!(err, ParseTraceError::Format(_)), "{err}");
+            assert!(err.to_string().contains("4294967295"), "{err}");
+        }
+    }
+
+    #[test]
+    fn node_count_at_the_cap_reads_rows_without_preallocating() {
+        let text = "AVTRACE v1\nslot_millis 1000\nnodes 4294967295\nslots 1\n1\n";
+        let err = ChurnTrace::read_from(text.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("row 1"), "{err}");
+    }
+
+    #[test]
+    fn rejects_slot_counts_past_the_u32_cap() {
+        let text = "AVTRACE v1\nslot_millis 1000\nnodes 1\nslots 4294967296\n1\n";
+        let err = ChurnTrace::read_from(text.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("slots 4294967296 exceeds"), "{err}");
     }
 
     #[test]
