@@ -6,8 +6,8 @@
 //! Three layers:
 //!
 //! * `hour_fast` / `hour_reference` — one simulated hour of paper-period
-//!   maintenance on the serial engine with the fast path on vs off (the
-//!   single-core configuration the 1-CPU container actually runs).
+//!   maintenance on one shard and one thread with the fast path on vs
+//!   off (the single-core configuration).
 //!   After each, the per-phase wall-clock (discover+refresh live inside
 //!   `finalize`) and the fast-path counters are printed, so the
 //!   BENCH_*.json entries can carry the discover/refresh/skip split.
@@ -38,7 +38,10 @@ fn quick() -> bool {
 fn maintenance_config(finalize_fast: bool) -> SimConfig {
     let mut config = SimConfig::paper_default(1);
     config.maintenance = MaintenanceMode::paper_event_driven();
-    config.engine = MaintenanceEngine::Serial;
+    config.engine = MaintenanceEngine::Sharded {
+        shards: Some(1),
+        threads: Some(1),
+    };
     config.finalize_fast = finalize_fast;
     config
 }

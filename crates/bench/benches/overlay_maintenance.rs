@@ -49,15 +49,15 @@ fn bench_converged_rebuild(c: &mut Criterion) {
 
 /// One simulated hour of event-driven maintenance (paper periods:
 /// 1-minute shuffle/discovery ticks, 20-minute refresh), sweeping the
-/// population toward the 10⁴-host target — serial reference engine vs
-/// the sharded engine. All engines produce bit-identical state (pinned
-/// by `event_driven_equivalence`), so the comparison is pure wall-clock.
+/// population toward the 10⁴-host target, across shard layouts. Every
+/// layout produces bit-identical state (pinned by
+/// `event_driven_equivalence`), so the comparison is pure wall-clock.
 ///
-/// `sharded` is the default engine (machine-sized pool, one shard per
-/// worker; on a 1-core host it degenerates to the straight-line path).
-/// `sharded_s2t2` pins two shards on two workers so the shard-exchange
-/// machinery is exercised and its cost recorded even where only one
-/// core is available.
+/// `sharded_s1t1` is the one-shard, one-thread reference layout: every
+/// phase runs inline on the calling thread. `sharded` is the default
+/// (machine-sized pool, one shard per worker). `sharded_s2t2` pins two
+/// shards on two workers so the shard-exchange machinery is exercised
+/// and its cost recorded even where only one core is available.
 fn bench_event_driven(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_driven");
     let sizes: &[usize] = if quick() {
@@ -66,7 +66,13 @@ fn bench_event_driven(c: &mut Criterion) {
         &[1000, 2000, 5000, 10_000]
     };
     let engines = [
-        ("serial", MaintenanceEngine::Serial),
+        (
+            "sharded_s1t1",
+            MaintenanceEngine::Sharded {
+                shards: Some(1),
+                threads: Some(1),
+            },
+        ),
         (
             "sharded",
             MaintenanceEngine::Sharded {

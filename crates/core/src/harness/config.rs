@@ -129,23 +129,20 @@ impl MaintenanceMode {
 /// draws are independent of the shard count), a **commit** phase applying
 /// shuffle requests in ascending initiator id and then the replies and
 /// timeouts, and a per-node **finalize** phase (discovery over the
-/// post-commit view, then refresh). Both variants execute those exact
-/// semantics; they differ only in whether the population is partitioned
-/// into shard-owned slices driven by worker threads.
+/// post-commit view, then refresh).
+///
+/// There is one executor. Nodes are partitioned by id into `S`
+/// contiguous shards, each owning its slice of the shuffle/membership
+/// state and its own event queue. Propose and finalize run
+/// shard-parallel on worker threads; commit exchanges cross-shard
+/// request/reply batches at phase barriers and applies them in a
+/// deterministic merge order. State after every cohort is bit-identical
+/// for any shard and thread count. One shard on one thread runs every
+/// phase inline on the calling thread and is the reference the other
+/// configurations are pinned against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MaintenanceEngine {
-    /// Straight-line reference implementation: every phase runs on the
-    /// calling thread over the whole population. Kept as the equivalence
-    /// oracle the sharded engine is pinned against.
-    Serial,
-    /// Shard-owned execution: nodes are partitioned by id into `S`
-    /// contiguous shards, each owning its slice of the shuffle/membership
-    /// state and its own event queue. Propose and finalize run
-    /// shard-parallel on worker threads; commit exchanges cross-shard
-    /// request/reply batches at phase barriers and applies them in a
-    /// deterministic merge order. State after every cohort is
-    /// bit-identical to [`MaintenanceEngine::Serial`] for any shard and
-    /// thread count.
+    /// Shard-owned execution over `shards` shards and `threads` workers.
     Sharded {
         /// Shard count; `None` matches the resolved thread count.
         shards: Option<usize>,
@@ -158,24 +155,16 @@ pub enum MaintenanceEngine {
 impl MaintenanceEngine {
     /// The worker-thread count this engine runs with.
     pub fn threads(self) -> usize {
-        match self {
-            MaintenanceEngine::Serial => 1,
-            MaintenanceEngine::Sharded { threads, .. } => {
-                threads.unwrap_or_else(avmem_util::parallel::default_threads)
-            }
-        }
+        let MaintenanceEngine::Sharded { threads, .. } = self;
+        threads.unwrap_or_else(avmem_util::parallel::default_threads)
     }
 
     /// The shard count this engine partitions the population into.
     /// Defaults to the resolved thread count, so an unconfigured run gets
     /// one shard per worker.
     pub fn shards(self) -> usize {
-        match self {
-            MaintenanceEngine::Serial => 1,
-            MaintenanceEngine::Sharded { shards, .. } => {
-                shards.unwrap_or_else(|| self.threads()).max(1)
-            }
-        }
+        let MaintenanceEngine::Sharded { shards, .. } = self;
+        shards.unwrap_or_else(|| self.threads()).max(1)
     }
 }
 
@@ -295,8 +284,12 @@ mod tests {
         );
         assert!(cfg.engine.threads() >= 1);
         assert!(cfg.engine.shards() >= 1);
-        assert_eq!(MaintenanceEngine::Serial.threads(), 1);
-        assert_eq!(MaintenanceEngine::Serial.shards(), 1);
+        let reference = MaintenanceEngine::Sharded {
+            shards: Some(1),
+            threads: Some(1),
+        };
+        assert_eq!(reference.threads(), 1);
+        assert_eq!(reference.shards(), 1);
         let pinned = MaintenanceEngine::Sharded {
             shards: Some(4),
             threads: Some(6),

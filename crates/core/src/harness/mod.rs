@@ -1572,10 +1572,12 @@ impl AvmemSim {
     ///    refresh, per node (canonical intra-node order). Per-node
     ///    independent.
     ///
-    /// [`MaintenanceEngine::Serial`] and [`MaintenanceEngine::Sharded`]
-    /// execute these identical semantics; results are bit-equal across
-    /// engines, shard counts and thread counts (pinned by the
-    /// `event_driven_equivalence` integration tests).
+    /// Every cohort runs through [`AvmemSim::run_batch_sharded`], the one
+    /// cohort executor. One shard on one thread is the reference
+    /// configuration: its shard jobs run inline on the calling thread.
+    /// Results are bit-equal across shard counts and thread counts
+    /// (pinned against that reference by the `event_driven_equivalence`
+    /// integration tests).
     fn run_event_driven(
         &mut self,
         target: SimTime,
@@ -1601,10 +1603,6 @@ impl AvmemSim {
                 refresh_period,
             )
         });
-        // One shard driven by one thread degenerates to the straight-line
-        // reference (they are bit-identical), skipping the message-batch
-        // bookkeeping single-core machines would pay for nothing.
-        let straight_line = maint.part.shards() <= 1 && threads <= 1;
         while let Some(t) = maint.group.pop_batch_until(target, &mut maint.batches) {
             // Shared time-dependent state advances once per distinct
             // timestamp: the oracle (AVMON ping processing) and the
@@ -1616,24 +1614,7 @@ impl AvmemSim {
                 self.now = self.now.max(t);
             }
             self.tracer.tick_cohort();
-            if straight_line {
-                let MaintSchedule {
-                    ref batches,
-                    ref mut scratches,
-                    ..
-                } = maint;
-                self.run_batch_serial(t, &batches[0], &mut scratches[0]);
-            } else {
-                let MaintSchedule {
-                    part,
-                    ref batches,
-                    ref mut scratches,
-                    ref mut req_in,
-                    ref mut reply_in,
-                    ..
-                } = maint;
-                self.run_batch_sharded(t, part, batches, scratches, req_in, reply_in, threads);
-            }
+            self.run_batch_sharded(t, &mut maint, threads);
             for (s, batch) in maint.batches.iter().enumerate() {
                 for &event in batch.iter() {
                     match event {
@@ -1654,159 +1635,26 @@ impl AvmemSim {
         self.online.refresh(&self.trace, target);
     }
 
-    /// Reference implementation of one cohort: the canonical phases as
-    /// plain sequential loops over the whole batch. This is the semantics
-    /// [`AvmemSim::run_batch_sharded`] is pinned against. Its finalize
-    /// phase runs off the same per-node ops list — and the same fast
-    /// path — as the sharded engine, with the whole population as one
-    /// shard, so single-core runs get the full finalize speedup.
-    fn run_batch_serial(&mut self, t: SimTime, batch: &[MaintEvent], scratch: &mut ShardScratch) {
-        let seed = self.config.seed;
-        let n = self.trace.num_nodes();
-        // Phase 1 — propose over the sorted tick list (propose randomness
-        // is keyed per node, so iterating the sorted list instead of raw
-        // event order changes nothing), capturing each proposal's request
-        // — in ascending-initiator order, the property the commit chains
-        // rely on — or its timeout, in the pooled cohort buffers.
-        let tp = self.tracer.span(PH_PROPOSE, 0);
-        scratch.begin_cohort(1);
-        for &event in batch {
-            match event {
-                MaintEvent::Tick(i) if self.trace.is_online(i, t) => {
-                    scratch.ticks.push(i as u32);
-                }
-                MaintEvent::Refresh(i) if self.trace.is_online(i, t) => {
-                    scratch.refreshes.push(i as u32);
-                }
-                _ => {}
-            }
-        }
-        scratch.build_ops();
-        let mut requests = std::mem::take(&mut scratch.req_out[0]);
-        for k in 0..scratch.ticks.len() {
-            let i = scratch.ticks[k] as usize;
-            let Some(p) = propose_tick(
-                seed,
-                &self.online,
-                t,
-                i,
-                &mut self.shuffles[i],
-                &mut scratch.seeds,
-                &mut scratch.pool,
-            ) else {
-                continue;
-            };
-            let target = p.target();
-            let tgt = target.raw() as usize;
-            if tgt < n && self.trace.is_online(tgt, t) {
-                let (_, request) = p.into_request();
-                requests.push(RequestMsg {
-                    initiator: i as u32,
-                    responder: tgt as u32,
-                    request,
-                });
-            } else {
-                p.recycle_into(&mut scratch.pool);
-                scratch.timeouts.push((i as u32, target));
-            }
-        }
-        drop(tp);
-        // Phase 2 — commit: counting-bucket chains replace the
-        // (responder, initiator) sort. Each responder's chain is already
-        // ascending by initiator (requests were generated over the
-        // sorted tick list), and cross-responder order is immaterial — a
-        // request only touches the responder's own state.
-        let tc = self.tracer.span(PH_COMMIT, 0);
-        scratch.chain_by_responder(n, requests.len(), |idx| requests[idx].responder as usize);
-        let mut replies = std::mem::take(&mut scratch.reply_out[0]);
-        for k in 0..scratch.bucket_touched.len() {
-            let r = scratch.bucket_touched[k] as usize;
-            let mut idx = scratch.bucket_head[r];
-            while idx != u32::MAX {
-                let msg = &mut requests[idx as usize];
-                let request = std::mem::replace(
-                    &mut msg.request,
-                    ShuffleMessage::Request {
-                        entries: Vec::new(),
-                    },
-                );
-                let initiator = msg.initiator;
-                let reply = self.shuffles[r].handle_request_with(request, &mut scratch.pool);
-                replies.push(ReplyMsg { initiator, reply });
-                idx = scratch.bucket_next[idx as usize];
-            }
-            scratch.bucket_head[r] = u32::MAX;
-            scratch.bucket_tail[r] = u32::MAX;
-        }
-        requests.clear();
-        scratch.req_out[0] = requests;
-        // Replies and timeouts: at most one per initiator, each touching
-        // only the initiator's own state, so application order is
-        // immaterial — no sort needed.
-        for msg in replies.drain(..) {
-            self.shuffles[msg.initiator as usize].handle_reply_with(msg.reply, &mut scratch.pool);
-        }
-        scratch.reply_out[0] = replies;
-        for k in 0..scratch.timeouts.len() {
-            let (i, target) = scratch.timeouts[k];
-            self.shuffles[i as usize].handle_timeout_with(target, &mut scratch.pool);
-        }
-        scratch.timeouts.clear();
-        drop(tc);
-        // Phase 3 — finalize: discovery over the post-commit views, then
-        // refresh (canonical intra-node order; cross-node order is
-        // irrelevant, each node touches only its own lists). The ops
-        // list was built in the propose span.
-        let tf = self.tracer.span(PH_FINALIZE, 0);
-        let memo;
-        let fast = if self.config.finalize_fast {
-            memo = SimMemo::build(&self.predicate);
-            Some(FastCtx {
-                memo: &memo,
-                epoch: self.oracle.epoch(t),
-            })
-        } else {
-            None
-        };
-        let ctx = MaintCtx {
-            predicate: &self.predicate,
-            oracle: &self.oracle,
-            hashes: &self.hashes,
-            shuffles: &self.shuffles,
-            now: t,
-            fast,
-            pair_capacity: pair_cache_capacity(self.config.hash_budget, 1),
-        };
-        for k in 0..scratch.ops.len() {
-            let ops = scratch.ops[k];
-            ctx.finalize_node(ops, &mut self.memberships[ops.node as usize], scratch, 0, n);
-        }
-        drop(tf);
-        self.fin_stats.merge(scratch.take_stats());
-    }
-
     /// Shard-owned execution of one cohort: each shard's slice of the
     /// shuffle and membership state is split off as a disjoint `&mut`
     /// sub-slice (see [`ShardPartition::split_mut`]) and driven by the
     /// worker pool, one job per shard. Cross-shard traffic — shuffle
     /// requests to responders in other shards, and their replies — moves
     /// as per-(source → destination) message batches transposed on the
-    /// driving thread at the phase barriers. Bit-identical to
-    /// [`AvmemSim::run_batch_serial`] for every shard and thread count:
-    /// propose randomness is keyed per node, request application is
-    /// ordered per responder by initiator id, and finalize is canonical
-    /// per node.
-    #[allow(clippy::too_many_arguments)]
-    fn run_batch_sharded(
-        &mut self,
-        t: SimTime,
-        part: ShardPartition,
-        batches: &[Vec<MaintEvent>],
-        scratches: &mut [ShardScratch],
-        req_in: &mut [Vec<RequestMsg>],
-        reply_in: &mut [Vec<ReplyMsg>],
-        threads: usize,
-    ) {
+    /// driving thread at the phase barriers. With one shard, or one
+    /// thread, [`par_each_mut`] runs the shard jobs inline. The result
+    /// is bit-identical for every shard and thread count: propose
+    /// randomness is keyed per node, request application is ordered per
+    /// responder by initiator id, and finalize is canonical per node.
+    fn run_batch_sharded(&mut self, t: SimTime, maint: &mut MaintSchedule, threads: usize) {
+        let MaintSchedule {
+            part,
+            ref batches,
+            ref mut scratches,
+            ref mut req_in,
+            ref mut reply_in,
+            ..
+        } = *maint;
         let seed = self.config.seed;
         let shards = part.shards();
         let n = part.len();
@@ -2556,7 +2404,10 @@ mod tests {
         let trace = OvernetModel::default().hosts(80).days(1).generate(31);
         let mut fast_cfg = SimConfig::paper_default(14);
         fast_cfg.maintenance = MaintenanceMode::paper_event_driven();
-        fast_cfg.engine = MaintenanceEngine::Serial;
+        fast_cfg.engine = MaintenanceEngine::Sharded {
+            shards: Some(1),
+            threads: Some(1),
+        };
         let mut slow_cfg = fast_cfg;
         slow_cfg.finalize_fast = false;
         let mut fast = AvmemSim::new(trace.clone(), fast_cfg);
@@ -2584,11 +2435,15 @@ mod tests {
     #[test]
     fn sharded_engine_matches_serial_in_unit_scale() {
         // The integration suite pins the full matrix; this is the fast
-        // in-crate smoke over one awkward shard count.
+        // in-crate smoke of one awkward shard count against the
+        // one-shard, one-thread reference.
         let trace = OvernetModel::default().hosts(75).days(1).generate(29);
         let mut serial_cfg = SimConfig::paper_default(12);
         serial_cfg.maintenance = MaintenanceMode::paper_event_driven();
-        serial_cfg.engine = MaintenanceEngine::Serial;
+        serial_cfg.engine = MaintenanceEngine::Sharded {
+            shards: Some(1),
+            threads: Some(1),
+        };
         let mut serial = AvmemSim::new(trace.clone(), serial_cfg);
         serial.warm_up(SimDuration::from_hours(2));
 

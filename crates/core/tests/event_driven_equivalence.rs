@@ -1,12 +1,12 @@
-//! Pins the sharded event-driven engine to the serial reference
-//! implementation.
+//! Pins the sharded event-driven engine to its one-shard, one-thread
+//! reference configuration.
 //!
 //! The contract under test (see `AvmemSim::run_event_driven`): a
 //! maintenance run's final state — every node's membership lists, every
 //! node's shuffle view, and the overlay snapshot with its metrics — is a
-//! function of `(trace, config, duration)` only. Neither the engine
-//! variant, nor the shard count, nor the worker-thread count may perturb
-//! a single bit, for any maintenance period and any oracle fidelity.
+//! function of `(trace, config, duration)` only. Neither the shard count
+//! nor the worker-thread count may perturb a single bit, for any
+//! maintenance period and any oracle fidelity.
 
 use avmem::harness::{
     AvmemSim, InitiatorBand, MaintenanceEngine, MaintenanceMode, OracleChoice, SimConfig,
@@ -15,14 +15,14 @@ use avmem_sim::SimDuration;
 use avmem_trace::{ChurnTrace, OvernetModel};
 use avmem_util::NodeId;
 
-/// Shard counts every cell sweeps. 1 exercises the single-shard fast
-/// path, the rest exercise cross-shard batch exchange at increasing
-/// fan-out (8 shards over ~100 nodes forces small, uneven slices).
+/// Shard counts every cell sweeps. 1 exercises one shard driven by
+/// several threads, the rest exercise cross-shard batch exchange at
+/// increasing fan-out (8 shards over ~100 nodes forces small, uneven
+/// slices).
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Thread counts for the full-matrix cell: single worker (sharded
-/// semantics, serial execution), fewer threads than shards, more
-/// threads than shards.
+/// Thread counts for the full-matrix cell: single worker (inline
+/// execution), fewer threads than shards, more threads than shards.
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 fn trace(hosts: usize, seed: u64) -> ChurnTrace {
@@ -49,6 +49,12 @@ fn sharded(shards: usize, threads: usize) -> MaintenanceEngine {
     }
 }
 
+/// The reference every candidate is pinned against: one shard on one
+/// thread, every phase inline on the calling thread.
+fn reference_engine() -> MaintenanceEngine {
+    sharded(1, 1)
+}
+
 /// Full-state equality: memberships, shuffle views, snapshot, metrics.
 fn assert_state_equal(reference: &AvmemSim, candidate: &AvmemSim, label: &str) {
     for i in 0..reference.trace().num_nodes() {
@@ -73,10 +79,11 @@ fn assert_state_equal(reference: &AvmemSim, candidate: &AvmemSim, label: &str) {
     );
 }
 
-/// Runs one (periods, oracle) cell: serial reference vs the sharded
-/// engine over `hours` of maintenance. `full_matrix` sweeps every
-/// (shard, thread) pair; the reduced sweep runs each shard count at one
-/// rotating thread count to keep the suite's runtime in check.
+/// Runs one (periods, oracle) cell: the one-shard, one-thread reference
+/// vs every other layout over `hours` of maintenance. `full_matrix`
+/// sweeps every (shard, thread) pair; the reduced sweep runs each shard
+/// count at one rotating thread count to keep the suite's runtime in
+/// check. The (1, 1) pair is the reference itself and is skipped.
 /// `min_degree` guards against vacuous equality (empty == empty).
 #[allow(clippy::too_many_arguments)]
 fn check_cell(
@@ -92,7 +99,7 @@ fn check_cell(
     let trace = trace(hosts, seed);
     let mut reference = AvmemSim::new(
         trace.clone(),
-        config(seed, oracle, maintenance, MaintenanceEngine::Serial),
+        config(seed, oracle, maintenance, reference_engine()),
     );
     reference.warm_up(SimDuration::from_hours(hours));
     // Guard against vacuous equality: maintenance must have built state.
@@ -110,6 +117,9 @@ fn check_cell(
             std::slice::from_ref(&THREAD_COUNTS[i % THREAD_COUNTS.len()])
         };
         for &threads in thread_counts {
+            if (shards, threads) == (1, 1) {
+                continue;
+            }
             let mut candidate = AvmemSim::new(
                 trace.clone(),
                 config(seed, oracle, maintenance, sharded(shards, threads)),
@@ -185,7 +195,7 @@ fn pooled_commit_buffers_match_serial_across_full_matrix() {
     // exercised thousands of times per run. Pinned across the *full*
     // shard x thread matrix: any stale byte leaking out of a pooled
     // buffer, or any ordering drift in the bucketed commit, breaks
-    // bit-identity with the allocating serial reference.
+    // bit-identity with the one-shard, one-thread reference.
     check_cell(
         120,
         23,
@@ -242,7 +252,7 @@ fn hash_store_modes_agree_across_engines() {
     // hot rows, or hash-on-the-fly — and the finalize fast path layers
     // its shard-local caches on top of each. None of it may perturb a
     // bit: every (budget, engine) combination must land on the dense
-    // serial reference state. 120 hosts: the default budget is dense
+    // one-shard, one-thread reference state. 120 hosts: the default budget is dense
     // (8·N² ≈ 113 KiB); 8 KiB holds a handful of LRU rows; 64 bytes
     // holds none (direct mode with thrash bypass).
     let trace = trace(120, 17);
@@ -254,7 +264,7 @@ fn hash_store_modes_agree_across_engines() {
     ];
     let mut reference = AvmemSim::new(
         trace.clone(),
-        config(17, OracleChoice::Exact, maintenance, MaintenanceEngine::Serial),
+        config(17, OracleChoice::Exact, maintenance, reference_engine()),
     );
     reference.warm_up(SimDuration::from_hours(1));
     assert!(
@@ -262,7 +272,7 @@ fn hash_store_modes_agree_across_engines() {
         "hash-store sweep: reference run built no overlay"
     );
     for &(mode, budget) in budgets {
-        for engine in [MaintenanceEngine::Serial, sharded(4, 2), sharded(8, 8)] {
+        for engine in [reference_engine(), sharded(4, 2), sharded(8, 8)] {
             let mut cfg = config(17, OracleChoice::Exact, maintenance, engine);
             cfg.hash_budget = budget;
             let mut candidate = AvmemSim::new(trace.clone(), cfg);
@@ -317,11 +327,11 @@ fn fast_finalize_matches_reference_path_across_oracles() {
     ];
     for &(label, oracle, maintenance, hours) in cells {
         let trace = trace(110, 19);
-        let mut slow_cfg = config(19, oracle, maintenance, MaintenanceEngine::Serial);
+        let mut slow_cfg = config(19, oracle, maintenance, reference_engine());
         slow_cfg.finalize_fast = false;
         let mut reference = AvmemSim::new(trace.clone(), slow_cfg);
         reference.warm_up(SimDuration::from_hours(hours));
-        for engine in [MaintenanceEngine::Serial, sharded(4, 2)] {
+        for engine in [reference_engine(), sharded(4, 2)] {
             let fast_cfg = config(19, oracle, maintenance, engine);
             assert!(fast_cfg.finalize_fast, "fast path must be the default");
             let mut candidate = AvmemSim::new(trace.clone(), fast_cfg);
@@ -344,7 +354,7 @@ fn equivalence_survives_incremental_warm_up() {
     let maintenance = MaintenanceMode::paper_event_driven();
     let mut reference = AvmemSim::new(
         trace.clone(),
-        config(3, OracleChoice::Exact, maintenance, MaintenanceEngine::Serial),
+        config(3, OracleChoice::Exact, maintenance, reference_engine()),
     );
     let mut candidate = AvmemSim::new(
         trace,
@@ -365,7 +375,7 @@ fn engines_agree_on_downstream_operations() {
     let maintenance = MaintenanceMode::paper_event_driven();
     let mut reference = AvmemSim::new(
         trace.clone(),
-        config(5, OracleChoice::Exact, maintenance, MaintenanceEngine::Serial),
+        config(5, OracleChoice::Exact, maintenance, reference_engine()),
     );
     let mut candidate = AvmemSim::new(
         trace,

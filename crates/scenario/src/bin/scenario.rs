@@ -13,8 +13,9 @@
 //!
 //! `run`, `serve`, `sweep`, and `check` resolve their argument as a
 //! built-in name first, then as a file path. Shared overrides:
-//! `--seed N`, `--engine serial|sharded`, `--shards S` (0 = one per
-//! worker), `--threads K` (0 = all cores), `--warmup-mins N` /
+//! `--seed N`, `--engine serial|sharded` (`serial` is an alias for
+//! `--shards 1 --threads 1`, the reference layout), `--shards S` (0 = one
+//! per worker), `--threads K` (0 = all cores), `--warmup-mins N` /
 //! `--duration-mins N` (truncated CI smokes of big scenarios), `--json`
 //! for machine-readable output. `serve` adds the service-mode knobs
 //! (rate, pacing, lag budget, metrics endpoint); `sweep` runs an
@@ -41,9 +42,10 @@ fn usage() -> &'static str {
      \n\
      run/serve/sweep options:\n\
      \x20 --seed <n>                  override the spec's seed\n\
-     \x20 --engine serial|sharded     override the maintenance engine\n\
-     \x20 --shards <s>                shard count for --engine sharded (0 = one per worker)\n\
-     \x20 --threads <k>               worker threads for --engine sharded (0 = all cores)\n\
+     \x20 --engine serial|sharded     override the maintenance engine (serial is an alias\n\
+     \x20                             for --shards 1 --threads 1, the reference layout)\n\
+     \x20 --shards <s>                shard count (0 = one per worker)\n\
+     \x20 --threads <k>               worker threads (0 = all cores)\n\
      \x20 --warmup-mins <n>           override the spec's warmup length\n\
      \x20 --duration-mins <n>         override the spec's measured duration\n\
      \x20 --json                      print the report as JSON\n\
@@ -63,7 +65,8 @@ fn usage() -> &'static str {
      \n\
      sweep options:\n\
      \x20 --seeds <a..b>              inclusive seed range (or a single seed)\n\
-     \x20 --engines <e1,e2,...>       engines to cross-check (serial, sharded)\n"
+     \x20 --engines <e1,e2,...>       engines to cross-check (serial = 1 shard on 1 thread,\n\
+     \x20                             sharded = machine-sized)\n"
 }
 
 fn main() -> ExitCode {
@@ -218,28 +221,36 @@ impl Common {
         Ok(true)
     }
 
-    /// Applies the engine override to the spec.
-    fn apply_engine(&self, spec: &mut ScenarioSpec) {
-        match self.engine {
-            Some("serial") => spec.maintenance.engine = EngineSpec::Serial,
-            Some(_) => {
-                spec.maintenance.engine = EngineSpec::Sharded {
-                    shards: self.shards.unwrap_or(0),
-                    threads: self.threads.unwrap_or(0),
-                }
-            }
-            None => {
-                // Bare --shards/--threads refine an already-sharded spec.
-                if let EngineSpec::Sharded { shards: s, threads: t } = spec.maintenance.engine {
-                    if self.shards.is_some() || self.threads.is_some() {
-                        spec.maintenance.engine = EngineSpec::Sharded {
-                            shards: self.shards.unwrap_or(s),
-                            threads: self.threads.unwrap_or(t),
-                        };
+    /// Applies the engine override to the spec. `serial` is one shard on
+    /// one thread, so a `--shards`/`--threads` other than 1 contradicts
+    /// it.
+    fn apply_engine(&self, spec: &mut ScenarioSpec) -> Result<(), String> {
+        let EngineSpec::Sharded { shards, threads } = spec.maintenance.engine;
+        spec.maintenance.engine = match self.engine {
+            Some("serial") => {
+                for (flag, value) in [("--shards", self.shards), ("--threads", self.threads)] {
+                    if let Some(n) = value.filter(|&n| n != 1) {
+                        return Err(format!(
+                            "--engine serial is 1 shard on 1 thread, but {flag} {n} was given"
+                        ));
                     }
                 }
+                EngineSpec::Sharded {
+                    shards: 1,
+                    threads: 1,
+                }
             }
-        }
+            Some(_) => EngineSpec::Sharded {
+                shards: self.shards.unwrap_or(0),
+                threads: self.threads.unwrap_or(0),
+            },
+            // Bare --shards/--threads refine the spec's own layout.
+            None => EngineSpec::Sharded {
+                shards: self.shards.unwrap_or(shards),
+                threads: self.threads.unwrap_or(threads),
+            },
+        };
+        Ok(())
     }
 }
 
@@ -266,7 +277,9 @@ fn run(which: &str, options: &[String]) -> ExitCode {
             other => return fail(&format!("unknown run option {other:?}")),
         }
     }
-    common.apply_engine(&mut spec);
+    if let Err(message) = common.apply_engine(&mut spec) {
+        return fail(&message);
+    }
     let json = common.json;
 
     let runner = match ScenarioRunner::new(spec) {
@@ -355,7 +368,9 @@ fn serve(which: &str, options: &[String]) -> ExitCode {
             other => return fail(&format!("unknown serve option {other:?}")),
         }
     }
-    common.apply_engine(&mut spec);
+    if let Err(message) = common.apply_engine(&mut spec) {
+        return fail(&message);
+    }
     if common.json {
         opts.snapshot_every_secs = 0;
     }
@@ -439,7 +454,10 @@ fn sweep(which: &str, options: &[String]) -> ExitCode {
                 Some(list) => {
                     for name in list.split(',').map(str::trim).filter(|n| !n.is_empty()) {
                         let engine = match name {
-                            "serial" => MaintenanceEngine::Serial,
+                            "serial" => MaintenanceEngine::Sharded {
+                                shards: Some(1),
+                                threads: Some(1),
+                            },
                             "sharded" | "parallel" => MaintenanceEngine::Sharded {
                                 shards: None,
                                 threads: None,
@@ -461,7 +479,9 @@ fn sweep(which: &str, options: &[String]) -> ExitCode {
             other => return fail(&format!("unknown sweep option {other:?}")),
         }
     }
-    common.apply_engine(&mut spec);
+    if let Err(message) = common.apply_engine(&mut spec) {
+        return fail(&message);
+    }
     let Some(seeds) = seeds else {
         return fail("sweep needs --seeds <a..b>");
     };

@@ -551,7 +551,31 @@ pub fn parse_spec(input: &str) -> Result<ScenarioSpec, ParseError> {
                 Some(value) => {
                     let engine_name = section.str_of(value, "engine")?;
                     match engine_name.as_str() {
-                        "serial" => EngineSpec::Serial,
+                        // "serial" names the one-shard, one-thread
+                        // reference configuration, so any other shard or
+                        // thread count contradicts it.
+                        "serial" => {
+                            for key in ["shards", "threads"] {
+                                let Some(value) = section.raw_value(key) else {
+                                    continue;
+                                };
+                                if section.u64_or(key, 1)? != 1 {
+                                    return Err(ParseError::new(
+                                        value.line,
+                                        format!(
+                                            "engine \"serial\" is 1 shard on 1 thread, but \
+                                             {key} = {}; drop the key or use engine = \
+                                             \"sharded\"",
+                                            value.text
+                                        ),
+                                    ));
+                                }
+                            }
+                            EngineSpec::Sharded {
+                                shards: 1,
+                                threads: 1,
+                            }
+                        }
                         // "parallel" is the pre-sharding name, kept as an
                         // alias so existing spec files keep parsing.
                         "sharded" | "parallel" => EngineSpec::Sharded {
@@ -570,11 +594,6 @@ pub fn parse_spec(input: &str) -> Result<ScenarioSpec, ParseError> {
                     }
                 }
             };
-            // `shards`/`threads` without `engine = "sharded"` would dangle.
-            if matches!(engine, EngineSpec::Serial) {
-                let _ = section.u64_or("shards", 0)?;
-                let _ = section.u64_or("threads", 0)?;
-            }
             section.finish()?;
             MaintenanceSpec { mode, engine }
         }
@@ -885,13 +904,8 @@ impl ScenarioSpec {
                 .unwrap();
             }
         }
-        match self.maintenance.engine {
-            EngineSpec::Serial => writeln!(w, "engine = \"serial\"").unwrap(),
-            EngineSpec::Sharded { shards, threads } => {
-                writeln!(w, "engine = \"sharded\"\nshards = {shards}\nthreads = {threads}")
-                    .unwrap();
-            }
-        }
+        let EngineSpec::Sharded { shards, threads } = self.maintenance.engine;
+        writeln!(w, "engine = \"sharded\"\nshards = {shards}\nthreads = {threads}").unwrap();
 
         let wl = &self.workload;
         writeln!(w, "\n[workload]").unwrap();

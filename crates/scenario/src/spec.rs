@@ -207,11 +207,10 @@ pub enum MaintenanceModeSpec {
     },
 }
 
-/// Cohort execution engine.
+/// Cohort execution engine. The spec word `serial` is an alias for
+/// one shard on one thread, the reference configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineSpec {
-    /// Straight-line reference engine.
-    Serial,
     /// Sharded engine: shard-owned state driven by worker threads.
     /// `shards == 0` matches the resolved thread count; `threads == 0`
     /// sizes to the machine (respecting any cgroup CPU quota).
@@ -675,12 +674,10 @@ impl ScenarioSpec {
 impl EngineSpec {
     /// The harness engine this spec selects.
     pub fn to_engine(&self) -> MaintenanceEngine {
-        match *self {
-            EngineSpec::Serial => MaintenanceEngine::Serial,
-            EngineSpec::Sharded { shards, threads } => MaintenanceEngine::Sharded {
-                shards: (shards > 0).then_some(shards),
-                threads: (threads > 0).then_some(threads),
-            },
+        let EngineSpec::Sharded { shards, threads } = *self;
+        MaintenanceEngine::Sharded {
+            shards: (shards > 0).then_some(shards),
+            threads: (threads > 0).then_some(threads),
         }
     }
 }

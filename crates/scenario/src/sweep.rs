@@ -335,7 +335,10 @@ mod tests {
                 engines: vec![
                     SweepEngine {
                         label: "serial".into(),
-                        engine: Some(MaintenanceEngine::Serial),
+                        engine: Some(MaintenanceEngine::Sharded {
+                            shards: Some(1),
+                            threads: Some(1),
+                        }),
                     },
                     SweepEngine {
                         label: "sharded".into(),

@@ -1,5 +1,6 @@
 //! `scenario check` over spec files: the horizon and population caps are
-//! enforced at validation and reported through the exit code.
+//! enforced at validation and reported through the exit code, and so are
+//! engine settings that contradict each other.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -73,4 +74,34 @@ fn check_rejects_more_hosts_than_u32_ids() {
     let (ok, stderr) = check_hosts(u64::from(u32::MAX) + 1);
     assert!(!ok, "one host past the cap must fail");
     assert!(stderr.contains("4294967295"), "error names the cap: {stderr}");
+}
+
+#[test]
+fn check_rejects_serial_with_a_contradicting_shard_or_thread_count() {
+    let sharded = "engine = \"sharded\"";
+    assert!(smoke_source().contains(sharded));
+    let (ok, stderr) = check_source(
+        "check-serial-1x1.toml",
+        &smoke_source().replace(sharded, "engine = \"serial\"\nshards = 1\nthreads = 1"),
+    );
+    assert!(ok, "serial at 1 shard x 1 thread must pass: {stderr}");
+    for (extra, key) in [("shards = 4", "shards"), ("threads = 8", "threads")] {
+        let source = smoke_source().replace(sharded, &format!("engine = \"serial\"\n{extra}"));
+        let (ok, stderr) = check_source(&format!("check-serial-{key}.toml"), &source);
+        assert!(!ok, "serial with {extra:?} must fail");
+        assert!(stderr.contains(key), "error names the key: {stderr}");
+    }
+}
+
+#[test]
+fn run_rejects_serial_with_a_contradicting_shard_or_thread_count() {
+    for flag in ["--shards", "--threads"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_scenario"))
+            .args(["run", "smoke", "--engine", "serial", flag, "4"])
+            .output()
+            .expect("run scenario");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        assert!(stderr.contains(flag), "error names the flag: {stderr}");
+    }
 }

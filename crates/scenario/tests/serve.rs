@@ -13,8 +13,8 @@ use avmem_scenario::{
     ScenarioSpec, ServeOptions,
 };
 
-/// (shards, threads) sweep: single-shard fast path, balanced, shard
-/// count above and below the thread count.
+/// (shards, threads) sweep: the one-shard, one-thread reference,
+/// balanced, shard count above and below the thread count.
 const SHARD_SWEEP: [(usize, usize); 4] = [(1, 1), (2, 2), (4, 2), (8, 8)];
 
 /// Same shape as the determinism suite's spec: event-driven maintenance,
@@ -65,7 +65,7 @@ fn unpaced_serve_equals_run_on_every_engine() {
     let spec = event_driven_spec();
     let reference = ScenarioRunner::new(spec.clone())
         .unwrap()
-        .with_engine(MaintenanceEngine::Serial)
+        .with_engine(sharded(1, 1))
         .run()
         .unwrap();
 
@@ -77,9 +77,7 @@ fn unpaced_serve_equals_run_on_every_engine() {
         "estimator sampling never ran"
     );
 
-    let mut engines = vec![MaintenanceEngine::Serial];
-    engines.extend(SHARD_SWEEP.map(|(s, t)| sharded(s, t)));
-    for engine in engines {
+    for engine in SHARD_SWEEP.map(|(s, t)| sharded(s, t)) {
         let outcome = ScenarioRunner::new(spec.clone())
             .unwrap()
             .with_engine(engine)

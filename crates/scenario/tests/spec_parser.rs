@@ -80,11 +80,8 @@ fn arb_maintenance() -> impl Strategy<Value = MaintenanceSpec> {
             rebuild_every_mins,
         }),
     ];
-    let engine = prop_oneof![
-        Just(EngineSpec::Serial),
-        (0usize..16, 0usize..16)
-            .prop_map(|(shards, threads)| EngineSpec::Sharded { shards, threads }),
-    ];
+    let engine = (0usize..16, 0usize..16)
+        .prop_map(|(shards, threads)| EngineSpec::Sharded { shards, threads });
     (mode, engine).prop_map(|(mode, engine)| MaintenanceSpec { mode, engine })
 }
 
@@ -280,6 +277,39 @@ fn corrupted_lines_are_rejected_with_their_line_number() {
     }
 }
 
+/// A minimal spec whose `[maintenance]` section ends with `engine_lines`.
+fn spec_with_engine(engine_lines: &str) -> String {
+    format!(
+        "name = \"e\"\n[churn]\nmodel = \"overnet\"\nhosts = 10\ndays = 1\n\
+         [maintenance]\nmode = \"event-driven\"\n{engine_lines}\n\
+         [workload]\nops_per_hour = 5.0\n"
+    )
+}
+
+#[test]
+fn serial_engine_is_one_shard_on_one_thread_and_renders_sharded() {
+    for lines in [
+        "engine = \"serial\"",
+        "engine = \"serial\"\nshards = 1\nthreads = 1",
+    ] {
+        let spec = parse_spec(&spec_with_engine(lines)).unwrap();
+        assert_eq!(
+            spec.maintenance.engine,
+            EngineSpec::Sharded {
+                shards: 1,
+                threads: 1
+            },
+            "{lines:?}"
+        );
+        let rendered = spec.render();
+        assert!(
+            rendered.contains("engine = \"sharded\"\nshards = 1\nthreads = 1"),
+            "{rendered}"
+        );
+        assert_eq!(parse_spec(&rendered).unwrap(), spec);
+    }
+}
+
 #[test]
 fn malformed_inputs_name_the_offending_line() {
     let cases: &[(&str, usize, &str)] = &[
@@ -303,6 +333,17 @@ fn malformed_inputs_name_the_offending_line() {
              [workload]\nops_per_hour = \"fast\"\n",
             7,
             "needs a number",
+        ),
+        // `serial` is 1 shard on 1 thread: any other count contradicts it.
+        (
+            &spec_with_engine("engine = \"serial\"\nshards = 4"),
+            9,
+            "1 shard on 1 thread, but shards = 4",
+        ),
+        (
+            &spec_with_engine("engine = \"serial\"\nthreads = 8"),
+            9,
+            "1 shard on 1 thread, but threads = 8",
         ),
     ];
     for &(input, line, needle) in cases {
