@@ -1,7 +1,7 @@
 //! Finalize-phase cost breakdown: where the event-driven maintenance
 //! hour actually goes, and what the fast path (epoch-memoized
-//! thresholds, shard-local pair-hash caches, batched oracle estimates,
-//! refresh short-circuiting) buys on each component.
+//! thresholds, batched oracle estimates, refresh short-circuiting)
+//! buys on each component.
 //!
 //! Three layers:
 //!
@@ -11,9 +11,10 @@
 //!   After each, the per-phase wall-clock (discover+refresh live inside
 //!   `finalize`) and the fast-path counters are printed, so the
 //!   BENCH_*.json entries can carry the discover/refresh/skip split.
-//! * `pair_hash_*` — one membership-sized stream of pair-hash reads
-//!   through the shard-local cache, the global LRU store, and raw
-//!   hashing, isolating the lock + SHA-256 cost the cache removes.
+//! * `pair_hash_dense` / `pair_hash_direct` — one membership-sized
+//!   stream of the fast path's pair-hash reads from the dense row store
+//!   (rows warm after the first sample) vs hashing on the fly, the two
+//!   stores `PairHashes::new` picks between by population size.
 //! * `estimate_*` — one refresh-sized availability lookup per pair vs
 //!   one batched call, isolating the per-call oracle dispatch.
 //!
@@ -24,7 +25,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use avmem::harness::{
-    AvmemSim, MaintenanceEngine, MaintenanceMode, PairHashes, ShardPairCache, SimConfig, SimOracle,
+    AvmemSim, MaintenanceEngine, MaintenanceMode, PairCacheStats, PairHashes, SimConfig, SimOracle,
 };
 use avmem_avmon::AvailabilityOracle;
 use avmem_sim::{SimDuration, SimTime};
@@ -69,7 +70,7 @@ fn bench_maintenance_hour(c: &mut Criterion) {
                 eprintln!(
                     "finalize_breakdown {label}: hosts {hosts} cohorts {} oracle {:.3} s \
                      propose {:.3} s commit {:.3} s finalize {:.3} s | memo {}h/{}m/{}b \
-                     refresh {}skip/{}eval pruned {} estimates {} pair-hash {}h/{}m/{}d/{}f",
+                     refresh {}skip/{}eval pruned {} estimates {} pair-hash {}h/{}m",
                     t.cohorts,
                     t.oracle.as_secs_f64(),
                     t.propose.as_secs_f64(),
@@ -83,9 +84,7 @@ fn bench_maintenance_hour(c: &mut Criterion) {
                     f.discover_pruned,
                     f.batched_estimates,
                     f.pair_hash.hits,
-                    f.pair_hash.misses,
-                    f.pair_hash.delegated,
-                    f.pair_hash.flushes
+                    f.pair_hash.misses
                 );
             });
         }
@@ -96,43 +95,25 @@ fn bench_maintenance_hour(c: &mut Criterion) {
 fn bench_pair_hash(c: &mut Criterion) {
     let mut group = c.benchmark_group("finalize_breakdown");
     let n: usize = if quick() { 400 } else { 4000 };
-    // A budget of a few rows forces the global store into LRU mode —
-    // the contended configuration the shard-local cache bypasses.
-    let hashes = PairHashes::with_budget(n, 4 * 8 * n);
-    assert!(hashes.is_lru(), "budget must force LRU mode");
     // A membership-sized working set: every node reads ~32 neighbors.
     let reads: Vec<(usize, usize)> = (0..n)
         .flat_map(|i| (1..=32usize).map(move |k| (i, (i + k * 37) % n)))
         .collect();
-    group.bench_function(BenchmarkId::new("pair_hash_shard_cache", n), |b| {
-        let mut cache = ShardPairCache::with_capacity(4 * 32 * n);
-        b.iter(|| {
-            let mut acc = 0.0f64;
-            for &(x, y) in &reads {
-                acc += cache.get(&hashes, x, y);
-            }
-            black_box(acc)
+    for (label, hashes) in [
+        ("pair_hash_dense", PairHashes::lazy(n)),
+        ("pair_hash_direct", PairHashes::direct(n)),
+    ] {
+        group.bench_function(BenchmarkId::new(label, n), |b| {
+            let mut stats = PairCacheStats::default();
+            b.iter(|| {
+                let mut acc = 0.0f64;
+                for &(x, y) in &reads {
+                    acc += hashes.get_counted(x, y, &mut stats);
+                }
+                black_box(acc)
+            });
         });
-    });
-    group.bench_function(BenchmarkId::new("pair_hash_global", n), |b| {
-        b.iter(|| {
-            let mut acc = 0.0f64;
-            for &(x, y) in &reads {
-                acc += hashes.get(x, y);
-            }
-            black_box(acc)
-        });
-    });
-    let direct = PairHashes::with_budget(n, 0);
-    group.bench_function(BenchmarkId::new("pair_hash_direct", n), |b| {
-        b.iter(|| {
-            let mut acc = 0.0f64;
-            for &(x, y) in &reads {
-                acc += direct.get(x, y);
-            }
-            black_box(acc)
-        });
-    });
+    }
     group.finish();
 }
 

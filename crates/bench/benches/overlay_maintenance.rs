@@ -111,8 +111,8 @@ fn bench_event_driven(c: &mut Criterion) {
 }
 
 /// Lazy-vs-dense pair-hash storage: the dense build pays all `N²` SHA-256
-/// evaluations up front; the lazy cache and the direct (over-budget) mode
-/// pay one row on demand.
+/// evaluations up front; the lazy dense store and the direct store (what
+/// populations above 8 192 get) pay one row on demand.
 fn bench_pair_hashes(c: &mut Criterion) {
     let mut group = c.benchmark_group("pair_hashes");
     group.sample_size(10);
@@ -129,7 +129,7 @@ fn bench_pair_hashes(c: &mut Criterion) {
             })
         });
         group.bench_with_input(BenchmarkId::new("direct_one_row", n), &n, |b, &n| {
-            let hashes = PairHashes::with_budget(n, 0);
+            let hashes = PairHashes::direct(n);
             let mut scratch = Vec::new();
             b.iter(|| black_box(hashes.row(n / 2, &mut scratch)[0]))
         });

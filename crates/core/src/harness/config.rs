@@ -188,36 +188,20 @@ pub struct SimConfig {
     /// Buckets for the discretized availability PDF (paper-scale: 10,
     /// i.e. 0.1-wide buckets).
     pub pdf_buckets: usize,
-    /// Memory budget (bytes) for the cached pair-hash rows. Populations
-    /// whose dense matrix (`8·N²` bytes) fits the budget cache hashed
-    /// rows lazily; larger ones keep an LRU of the hottest rows within
-    /// the budget (hashing on the fly only when the budget holds no row
-    /// at all). See [`crate::harness::PairHashes::with_budget`].
-    pub hash_budget: usize,
     /// Run event-driven finalize through the fast path: epoch-memoized
-    /// thresholds, shard-local pair-hash caches, batched oracle
-    /// estimates, and refresh short-circuiting. Bit-identical to the
-    /// reference pair-at-a-time evaluation for every oracle — pinned by
-    /// the fast-vs-slow legs of the `event_driven_equivalence` suite —
-    /// so this is purely a performance knob; turning it off recovers
-    /// the reference path for A/B pinning.
+    /// thresholds, batched oracle estimates, refresh short-circuiting,
+    /// and pair-hash reads counted shard-locally (no shared atomic per
+    /// pair). Bit-identical to the reference pair-at-a-time evaluation
+    /// for every oracle and either pair-hash store — pinned by the
+    /// fast-vs-slow legs of the `event_driven_equivalence` suite — so
+    /// this is purely a performance knob; turning it off recovers the
+    /// reference path for A/B pinning.
     #[serde(default = "default_finalize_fast")]
     pub finalize_fast: bool,
 }
 
 fn default_finalize_fast() -> bool {
     true
-}
-
-/// The pair-hash budget for [`SimConfig::paper_default`]: the crate
-/// default, overridable through the `AVMEM_HASH_BUDGET` environment
-/// variable (bytes) so CI can sweep the store modes — dense, LRU,
-/// direct — without code changes.
-fn hash_budget_from_env() -> usize {
-    std::env::var("AVMEM_HASH_BUDGET")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(crate::harness::hashes::DEFAULT_HASH_BUDGET)
 }
 
 impl SimConfig {
@@ -235,7 +219,6 @@ impl SimConfig {
             },
             latency: LatencyModel::PAPER,
             pdf_buckets: 10,
-            hash_budget: hash_budget_from_env(),
             finalize_fast: default_finalize_fast(),
         }
     }

@@ -42,7 +42,7 @@ pub use attack::AttackSeries;
 pub use config::{
     MaintenanceEngine, MaintenanceMode, OracleChoice, PredicateChoice, SimConfig,
 };
-pub use hashes::{PairCacheStats, PairHashes, PairStoreStats, ShardPairCache, DEFAULT_HASH_BUDGET};
+pub use hashes::{PairCacheStats, PairHashes, PairStoreStats};
 pub use index::CandidateIndex;
 pub use oracle::SimOracle;
 
@@ -216,7 +216,7 @@ impl SimSource<'_> {
 /// a worker processes, so the hot loop allocates nothing per node.
 #[derive(Default)]
 struct RebuildScratch {
-    /// Pair-hash row (used only when hashes are in direct mode).
+    /// Pair-hash row (used only by the direct pair-hash store).
     row: Vec<f64>,
     /// Accepted horizontal candidates awaiting the decorrelation shuffle.
     hs: Vec<(usize, Availability)>,
@@ -339,10 +339,6 @@ struct ShardScratch {
     cand_ids: Vec<NodeId>,
     /// Batched estimates, aligned with `cand_ids`.
     cand_avs: Vec<Option<Availability>>,
-    /// Shard-local pair-hash cache, built lazily on the first fast-path
-    /// finalize (sized from the configured hash budget). Workers read it
-    /// without ever touching the global store's LRU mutex.
-    pair_cache: Option<ShardPairCache>,
     /// Next-period no-insert set under construction (one discovery op at
     /// a time; reused allocation).
     seen_scratch: Vec<u32>,
@@ -432,14 +428,10 @@ impl ShardScratch {
         }
     }
 
-    /// Drains the cohort's fast-path counters (folding in the pair
-    /// cache's own tallies) for accumulation on the simulation.
+    /// Drains the cohort's fast-path counters for accumulation on the
+    /// simulation.
     fn take_stats(&mut self) -> FinalizeStats {
-        let mut stats = std::mem::take(&mut self.stats);
-        if let Some(cache) = self.pair_cache.as_mut() {
-            stats.pair_hash.merge(cache.take_stats());
-        }
-        stats
+        std::mem::take(&mut self.stats)
     }
 
     /// Merges the sorted tick/refresh lists into per-node finalize ops
@@ -568,14 +560,6 @@ fn propose_tick(
     Some(proposal)
 }
 
-/// Entry capacity of one shard's local pair-hash cache: the configured
-/// hash budget split across shards at ~32 bytes per occupied table slot
-/// (packed key + value + hash-table control and load-factor overhead),
-/// floored so tiny budgets still cache a few nodes' working sets.
-fn pair_cache_capacity(hash_budget: usize, shards: usize) -> usize {
-    (hash_budget / shards.max(1) / 32).max(1024)
-}
-
 /// Shared per-cohort fast-path state: the predicate memo (threshold
 /// tables hoisted once per cohort) and the oracle's change epoch.
 #[derive(Clone, Copy)]
@@ -600,8 +584,6 @@ struct MaintCtx<'a> {
     /// Fast-path context, `None` when [`SimConfig::finalize_fast`] is
     /// off — workers then run the reference pair-at-a-time evaluation.
     fast: Option<FastCtx<'a>>,
-    /// Entry capacity for each shard's local pair-hash cache.
-    pair_capacity: usize,
 }
 
 impl MaintCtx<'_> {
@@ -698,7 +680,8 @@ impl MaintCtx<'_> {
 
     /// Fast-path finalize for one node: memoized thresholds (epoch-cached
     /// when the oracle exposes an epoch), one batched oracle call per
-    /// sub-op, shard-local pair hashes, and the refresh short-circuit.
+    /// sub-op, shard-locally counted pair-hash reads, and the refresh
+    /// short-circuit.
     ///
     /// Bit-identical to the reference path (pinned by the fast-vs-slow
     /// legs of the `event_driven_equivalence` suite): within one epoch
@@ -723,15 +706,12 @@ impl MaintCtx<'_> {
         let ShardScratch {
             cand_ids,
             cand_avs,
-            pair_cache,
             seen_scratch,
             fast: state,
             stats,
             migrants,
             ..
         } = scratch;
-        let cache = pair_cache
-            .get_or_insert_with(|| ShardPairCache::with_capacity(self.pair_capacity));
         // Stamps are `epoch + 1`, so zeroed state never matches.
         let stamp = fast.epoch.map(compact_stamp);
         let local = i - shard_start;
@@ -801,7 +781,7 @@ impl MaintCtx<'_> {
                     let y = candidate.raw() as usize;
                     let mut kept = false;
                     if let Some(y_av) = *y_av {
-                        let hash = cache.get(self.hashes, i, y);
+                        let hash = self.hashes.get_counted(i, y, &mut stats.pair_hash);
                         if let Some(sliver) = source.classify_hashed(y_av, hash) {
                             kept = true;
                             inserted |= membership.insert(
@@ -865,7 +845,9 @@ impl MaintCtx<'_> {
                     let y_av = cand_avs[k];
                     k += 1;
                     let y_av = y_av?; // oracle lost track: evict
-                    let hash = cache.get(self.hashes, i, id.raw() as usize);
+                    let hash = self
+                        .hashes
+                        .get_counted(i, id.raw() as usize, &mut stats.pair_hash);
                     let sliver = source.classify_hashed(y_av, hash)?;
                     Some((y_av, sliver))
                 });
@@ -1000,7 +982,7 @@ pub struct FinalizeStats {
     pub discover_pruned: u64,
     /// Availability estimates served through batched oracle calls.
     pub batched_estimates: u64,
-    /// Shard-local pair-hash cache counters.
+    /// Pair-hash reads, split into stored-row hits and hashed misses.
     pub pair_hash: PairCacheStats,
 }
 
@@ -1095,16 +1077,15 @@ impl AvmemSim {
     /// online nodes — both quantities the paper assumes are computed
     /// offline by a crawler and distributed consistently to all nodes.
     pub fn new(trace: ChurnTrace, config: SimConfig) -> Self {
-        let hashes = Arc::new(PairHashes::with_budget(
-            trace.num_nodes(),
-            config.hash_budget,
-        ));
+        let hashes = Arc::new(PairHashes::new(trace.num_nodes()));
         AvmemSim::with_hashes(trace, config, hashes)
     }
 
-    /// Like [`AvmemSim::new`] but reusing a precomputed pair-hash matrix
-    /// — experiment sweeps building many simulations over the same
-    /// population share the `O(N²)` hashing work.
+    /// Like [`AvmemSim::new`] but with a given pair-hash store —
+    /// experiment sweeps building many simulations over the same
+    /// population share one precomputed matrix's `O(N²)` hashing work,
+    /// and tests inject [`PairHashes::direct`] to run the large-population
+    /// store at small `N`.
     ///
     /// # Panics
     ///
@@ -1363,8 +1344,8 @@ impl AvmemSim {
         self.fin_stats
     }
 
-    /// Cumulative counters of the shared pair-hash row store (mode,
-    /// rows built, LRU hit/miss/eviction traffic, thrash-bypass state).
+    /// Cumulative counters of the shared pair-hash store (rows built,
+    /// direct hashes, resident rows).
     pub fn hash_store_stats(&self) -> PairStoreStats {
         self.hashes.store_stats()
     }
@@ -1438,7 +1419,7 @@ impl AvmemSim {
     ///   horizontal band integrals once per node, vertical PDF lookups
     ///   from per-bucket tables — instead of two PDF integrations per
     ///   in-band pair;
-    /// * pair hashes come from the row cache ([`PairHashes::row`]);
+    /// * pair hashes come a row at a time ([`PairHashes::row`]);
     /// * with a shared availability index, HS candidates are enumerated
     ///   by an `O(log N + band)` range-scan and VS candidates by its
     ///   complement (only float-slack stragglers pay a distance check);
@@ -1851,7 +1832,6 @@ impl AvmemSim {
                 shuffles: &self.shuffles,
                 now: t,
                 fast,
-                pair_capacity: pair_cache_capacity(self.config.hash_budget, shards),
             };
             let slices = part.split_mut(&mut memberships);
             let mut tasks: Vec<(usize, usize, &mut [Membership], &mut ShardScratch)> = slices

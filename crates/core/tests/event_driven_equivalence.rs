@@ -8,8 +8,11 @@
 //! nor the worker-thread count may perturb a single bit, for any
 //! maintenance period and any oracle fidelity.
 
+use std::sync::Arc;
+
 use avmem::harness::{
-    AvmemSim, InitiatorBand, MaintenanceEngine, MaintenanceMode, OracleChoice, SimConfig,
+    AvmemSim, InitiatorBand, MaintenanceEngine, MaintenanceMode, OracleChoice, PairHashes,
+    SimConfig,
 };
 use avmem_sim::SimDuration;
 use avmem_trace::{ChurnTrace, OvernetModel};
@@ -246,55 +249,10 @@ fn sharded_matches_serial_with_full_avmon_service() {
     );
 }
 
-#[test]
-fn hash_store_modes_agree_across_engines() {
-    // The pair-hash budget selects the store mode — dense rows, LRU of
-    // hot rows, or hash-on-the-fly — and the finalize fast path layers
-    // its shard-local caches on top of each. None of it may perturb a
-    // bit: every (budget, engine) combination must land on the dense
-    // one-shard, one-thread reference state. 120 hosts: the default budget is dense
-    // (8·N² ≈ 113 KiB); 8 KiB holds a handful of LRU rows; 64 bytes
-    // holds none (direct mode with thrash bypass).
-    let trace = trace(120, 17);
-    let maintenance = fast_periods();
-    let budgets: &[(&str, usize)] = &[
-        ("dense", avmem::harness::DEFAULT_HASH_BUDGET),
-        ("lru", 8 << 10),
-        ("direct", 64),
-    ];
-    let mut reference = AvmemSim::new(
-        trace.clone(),
-        config(17, OracleChoice::Exact, maintenance, reference_engine()),
-    );
-    reference.warm_up(SimDuration::from_hours(1));
-    assert!(
-        reference.snapshot().mean_degree() > 0.5,
-        "hash-store sweep: reference run built no overlay"
-    );
-    for &(mode, budget) in budgets {
-        for engine in [reference_engine(), sharded(4, 2), sharded(8, 8)] {
-            let mut cfg = config(17, OracleChoice::Exact, maintenance, engine);
-            cfg.hash_budget = budget;
-            let mut candidate = AvmemSim::new(trace.clone(), cfg);
-            candidate.warm_up(SimDuration::from_hours(1));
-            assert_state_equal(
-                &reference,
-                &candidate,
-                &format!("hash store {mode} ({budget} B), {engine:?}"),
-            );
-        }
-    }
-}
-
-#[test]
-fn fast_finalize_matches_reference_path_across_oracles() {
-    // `finalize_fast = false` recovers the pair-at-a-time reference
-    // evaluation; the fast path (epoch-memoized thresholds, shard-local
-    // pair caches, batched estimates, refresh short-circuiting) must be
-    // bit-identical to it under every oracle fidelity — including
-    // per-querier noise, where the missing epoch disables every cache
-    // but thresholds are still hoisted per finalize op.
-    let cells: &[(&str, OracleChoice, MaintenanceMode, u64)] = &[
+/// One cell per oracle fidelity: (label, oracle, maintenance, hours).
+/// AVMON estimates take hours to appear, so its cell warms longest.
+fn oracle_cells() -> [(&'static str, OracleChoice, MaintenanceMode, u64); 4] {
+    [
         (
             "exact",
             OracleChoice::Exact,
@@ -324,8 +282,58 @@ fn fast_finalize_matches_reference_path_across_oracles() {
             MaintenanceMode::paper_event_driven(),
             6,
         ),
-    ];
-    for &(label, oracle, maintenance, hours) in cells {
+    ]
+}
+
+#[test]
+fn hash_store_modes_agree_across_engines() {
+    // Populations above 8 192 hosts get the direct pair-hash store
+    // (every pair hashed on the fly) instead of dense rows. Injected at
+    // suite scale, it must land on the dense one-shard, one-thread
+    // state under every oracle fidelity, with the finalize fast path
+    // and the reference path, on every engine layout.
+    for (label, oracle, maintenance, hours) in oracle_cells() {
+        let trace = trace(110, 23);
+        let mut reference = AvmemSim::new(
+            trace.clone(),
+            config(23, oracle, maintenance, reference_engine()),
+        );
+        reference.warm_up(SimDuration::from_hours(hours));
+        assert!(
+            reference.hash_store_stats().cached_rows > 0,
+            "{label}: the reference must run on dense rows"
+        );
+        assert!(
+            reference.snapshot().mean_degree() > 0.1,
+            "{label}: reference run built no overlay"
+        );
+        for finalize_fast in [true, false] {
+            for engine in [reference_engine(), sharded(4, 2), sharded(8, 8)] {
+                let mut cfg = config(23, oracle, maintenance, engine);
+                cfg.finalize_fast = finalize_fast;
+                let direct = Arc::new(PairHashes::direct(trace.num_nodes()));
+                let mut candidate = AvmemSim::with_hashes(trace.clone(), cfg, direct);
+                candidate.warm_up(SimDuration::from_hours(hours));
+                assert_eq!(candidate.hash_store_stats().cached_rows, 0);
+                assert_state_equal(
+                    &reference,
+                    &candidate,
+                    &format!("direct store, {label}, fast {finalize_fast}, {engine:?}"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn fast_finalize_matches_reference_path_across_oracles() {
+    // `finalize_fast = false` recovers the pair-at-a-time reference
+    // evaluation; the fast path (epoch-memoized thresholds, batched
+    // estimates, refresh short-circuiting) must be bit-identical to it
+    // under every oracle fidelity — including per-querier noise, where
+    // the missing epoch disables every cache but thresholds are still
+    // hoisted per finalize op.
+    for (label, oracle, maintenance, hours) in oracle_cells() {
         let trace = trace(110, 19);
         let mut slow_cfg = config(19, oracle, maintenance, reference_engine());
         slow_cfg.finalize_fast = false;

@@ -259,7 +259,7 @@ pub struct ScenarioReport {
     /// Maintenance phase wall-clock totals (oracle / propose / commit /
     /// finalize) accumulated over the whole run. Excluded from `==`.
     pub timings: avmem::PhaseTimings,
-    /// Finalize fast-path counters (threshold memo, pair-hash cache,
+    /// Finalize fast-path counters (threshold memo, pair-hash reads,
     /// refresh short-circuit, batched estimates) accumulated over the
     /// whole run. Excluded from `==`: runs at different shard or thread
     /// counts split the cache work differently while producing the same
@@ -455,12 +455,7 @@ impl ScenarioReport {
             )
             .unwrap();
             let h = &f.pair_hash;
-            writeln!(
-                w,
-                "  pair-hash cache: hits {}  misses {}  delegated {}  flushes {}",
-                h.hits, h.misses, h.delegated, h.flushes
-            )
-            .unwrap();
+            writeln!(w, "  pair-hash: hits {}  misses {}", h.hits, h.misses).unwrap();
         }
         let mem = &self.memory;
         if !mem.is_empty() {
@@ -596,7 +591,7 @@ impl ScenarioReport {
             ",\"finalize\":{{\"memo_hits\":{},\"memo_misses\":{},\"memo_bypassed\":{},\
              \"refresh_skipped\":{},\"refresh_evaluated\":{},\"discover_pruned\":{},\
              \"batched_estimates\":{},\
-             \"pair_hash\":{{\"hits\":{},\"misses\":{},\"delegated\":{},\"flushes\":{}}}}}",
+             \"pair_hash\":{{\"hits\":{},\"misses\":{}}}}}",
             f.memo_hits,
             f.memo_misses,
             f.memo_bypassed,
@@ -605,9 +600,7 @@ impl ScenarioReport {
             f.discover_pruned,
             f.batched_estimates,
             f.pair_hash.hits,
-            f.pair_hash.misses,
-            f.pair_hash.delegated,
-            f.pair_hash.flushes
+            f.pair_hash.misses
         )
         .unwrap();
         let mem = &self.memory;
@@ -728,7 +721,6 @@ mod tests {
                 pair_hash: avmem::harness::PairCacheStats {
                     hits: 3000,
                     misses: 1000,
-                    ..Default::default()
                 },
                 ..Default::default()
             },
@@ -810,11 +802,17 @@ mod tests {
         let text = report.render_text();
         assert!(text.contains("finalize fast path: memo hits 900"), "{text}");
         assert!(text.contains("discover pruned 700"), "{text}");
-        assert!(text.contains("pair-hash cache: hits 3000"), "{text}");
+        assert!(
+            text.contains("  pair-hash: hits 3000  misses 1000\n"),
+            "{text}"
+        );
         let json = report.render_json();
         assert!(json.contains("\"finalize\":{\"memo_hits\":900"), "{json}");
         assert!(json.contains("\"discover_pruned\":700"), "{json}");
-        assert!(json.contains("\"pair_hash\":{\"hits\":3000"), "{json}");
+        assert!(
+            json.contains("\"pair_hash\":{\"hits\":3000,\"misses\":1000}}"),
+            "{json}"
+        );
         // All-zero counters (fast path off) drop the text block but keep
         // the JSON object for a stable schema.
         let mut quiet = sample_report();

@@ -281,21 +281,6 @@ fn publish_runtime(session: &RunSession, registry: &Registry) {
         store.rows_built,
     );
     mirror(
-        "avmem_hash_lru_hits_total",
-        "Pair-hash LRU row-cache hits.",
-        store.lru_hits,
-    );
-    mirror(
-        "avmem_hash_lru_misses_total",
-        "Pair-hash LRU row-cache misses.",
-        store.lru_misses,
-    );
-    mirror(
-        "avmem_hash_lru_evictions_total",
-        "Pair-hash LRU rows evicted (thrash indicator).",
-        store.lru_evictions,
-    );
-    mirror(
         "avmem_hash_direct_total",
         "Pair hashes computed directly (uncached).",
         store.direct_hashes,
